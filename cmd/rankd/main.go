@@ -15,7 +15,10 @@
 // with term bags assigned so /v1/search works out of the box. Capacity
 // knobs:
 //
-//	-cache-entries N   LRU capacity (cached subgraph chains + scores)
+//	-cache-entries N   LRU capacity in subgraphs; each entry pins its frozen
+//	                   chain, its scores and an N/8 + N/16 + 4n-byte
+//	                   subgraph index (~0.5 MiB for a 2.5k-page crawl of
+//	                   a 1.9M-page web, so the default 1024 is ~0.5 GB)
 //	-max-inflight N    concurrent computations admitted
 //	-max-queue N       requests allowed to wait for admission (429 beyond)
 //	-request-timeout D default per-request budget (503 when exceeded)

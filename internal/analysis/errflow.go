@@ -40,7 +40,7 @@ import (
 // helper is reported: the silent cross-function error drop is no longer
 // an analysis hole.
 var ErrFlow = &Analyzer{
-	Name: "errflow",
+	Name:   "errflow",
 	Doc:    "a returned error must be checked or explicitly discarded on every path",
 	CanFix: true,
 	Run:    runErrFlow,

@@ -87,7 +87,7 @@ func (s *Summaries) lockOrderFindings() []lockOrderFinding {
 		} else {
 			// Self-edge: double-lock.
 			s.lockFindings = append(s.lockFindings, lockOrderFinding{
-				pos: e.Pos,
+				pos:     e.Pos,
 				message: "lock " + e.ToName + " (class " + e.ToClass + ") acquired while an instance of the same class is already held: sync mutexes are not reentrant, so this self-cycle deadlocks — release first or split the critical section",
 			})
 		}
@@ -126,7 +126,7 @@ func (s *Summaries) lockOrderFindings() []lockOrderFinding {
 			continue
 		}
 		s.lockFindings = append(s.lockFindings, lockOrderFinding{
-			pos: witness.Pos,
+			pos:     witness.Pos,
 			message: "lock order cycle between {" + strings.Join(scc, ", ") + "}: here " + witness.FromName + " is held while acquiring " + witness.ToName + ", but another path acquires them in the opposite order (ABBA deadlock) — pick one global acquisition order",
 		})
 	}

@@ -46,7 +46,7 @@ import (
 // a defer on top of a partial Done would over-release on the paths
 // that already Done and panic with "sync: negative WaitGroup counter".
 var WgBalance = &Analyzer{
-	Name: "wgbalance",
+	Name:   "wgbalance",
 	Doc:    "every wg.Add must be matched by a Done on all paths of the spawned function (callees count)",
 	CanFix: true,
 	Run:    runWgBalance,

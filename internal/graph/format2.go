@@ -54,7 +54,7 @@ import (
 const (
 	magicV2 = "APXGRF2\x00"
 
-	v2Version     = uint32(2)
+	v2Version      = uint32(2)
 	v2FlagWeighted = uint32(1)
 
 	v2HeaderSize  = 40 // magic + fixed header

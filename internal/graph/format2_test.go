@@ -236,12 +236,12 @@ func TestV2RejectsCorruption(t *testing.T) {
 	}
 	cases["bad magic"] = mutate(0, 0xff)
 	cases["bad version"] = mutate(8, 0x04)
-	cases["zero sections"] = mutate(32, raw[32])          // sectionCount ^= itself → 0
-	cases["huge section count"] = mutate(33, 0x7f)        // sectionCount |= high bits
-	cases["unknown section kind"] = mutate(40, 0x7f)      // first table entry's kind
-	cases["misaligned offset"] = mutate(40+8, 0x01)       // first section offset
-	cases["wrong section length"] = mutate(40+16, 0x01)   // first section length
-	cases["bad checksum field"] = mutate(40+24, 0x01) // first section crc
+	cases["zero sections"] = mutate(32, raw[32])        // sectionCount ^= itself → 0
+	cases["huge section count"] = mutate(33, 0x7f)      // sectionCount |= high bits
+	cases["unknown section kind"] = mutate(40, 0x7f)    // first table entry's kind
+	cases["misaligned offset"] = mutate(40+8, 0x01)     // first section offset
+	cases["wrong section length"] = mutate(40+16, 0x01) // first section length
+	cases["bad checksum field"] = mutate(40+24, 0x01)   // first section crc
 	// Flip one byte inside every section's payload: each must trip that
 	// section's checksum. (Inter-section padding is NOT checksummed —
 	// only payload positions are corrupted here.)

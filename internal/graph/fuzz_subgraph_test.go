@@ -11,11 +11,18 @@ import (
 // global ids must be inverse bijections, and the induced graph must
 // contain exactly the global edges with both endpoints local —
 // multiplicity aside, extraction neither invents nor loses edges.
+// Graphs reach 256 nodes, four NodeSet words, so the rank directory's
+// prefix counts are exercised across word boundaries; the seeds put
+// members on both sides of the 64 and 128 boundaries.
 func FuzzSubgraph(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 2, 0, 3, 4}, []byte{0, 1, 2})
 	f.Add([]byte{3, 0, 0}, []byte{2})
 	f.Add([]byte{1}, []byte{0})
 	f.Add([]byte{}, []byte{})
+	f.Add([]byte{64, 63, 64, 64, 63, 0, 64, 64, 0}, []byte{64, 63})
+	f.Add([]byte{128, 127, 128, 128, 63, 64, 127, 0, 128, 128, 64}, []byte{128, 0, 127, 64, 63})
+	f.Add([]byte{128, 1, 2, 127, 128}, []byte{128})
+	f.Add([]byte{255, 0, 255, 255, 128, 191, 64, 63, 192}, []byte{255, 191, 192, 64, 63, 128, 127, 0})
 	f.Fuzz(func(t *testing.T, graphData, memberData []byte) {
 		g := decodeFuzzGraph(graphData)
 		if g == nil {
@@ -92,14 +99,14 @@ func FuzzSubgraph(f *testing.F) {
 }
 
 // decodeFuzzGraph builds a small graph from fuzz bytes: the first byte
-// picks the node count (1..64), the rest pair up into edges with both
+// picks the node count (1..256), the rest pair up into edges with both
 // endpoints reduced mod n. Returns nil when the input cannot make a
 // graph.
 func decodeFuzzGraph(data []byte) *Graph {
 	if len(data) == 0 {
 		return nil
 	}
-	n := int(data[0])%64 + 1
+	n := int(data[0]) + 1
 	b := NewBuilder(n)
 	b.EnsureNode(NodeID(n - 1))
 	pairs := data[1:]

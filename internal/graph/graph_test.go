@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -207,6 +208,42 @@ func TestSubgraphBasics(t *testing.T) {
 	}
 	if sub.GlobalID(2) != 3 {
 		t.Fatalf("GlobalID(2) = %d", sub.GlobalID(2))
+	}
+}
+
+// TestSubgraphFootprint pins what indexing a subgraph allocates: the
+// Member bitset (N/8 bytes), its rank directory (N/16) and the Local list
+// (4n), about 200 KB for 100 pages of a 1<<20-page graph. An index sized
+// 4N, such as a dense global-to-local array, would cost over 4 MB.
+func TestSubgraphFootprint(t *testing.T) {
+	const n = 1 << 20
+	b := NewBuilder(n)
+	b.EnsureNode(n - 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	local := make([]NodeID, 100)
+	for i := range local {
+		local[i] = NodeID(i * 10_007 % n) // ascending, ~160 words apart
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sub, err := NewSubgraph(g, local)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("NewSubgraph: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("NewSubgraph allocated %d bytes for %d of %d pages, want < 1 MiB", got, len(local), n)
+	}
+	for li, gid := range local {
+		if got, ok := sub.LocalID(gid); !ok || got != uint32(li) {
+			t.Fatalf("LocalID(%d) = %d,%v, want %d,true", gid, got, ok, li)
+		}
+		if _, ok := sub.LocalID(gid + 1); ok {
+			t.Fatalf("LocalID(%d) reports a non-member as local", gid+1)
+		}
 	}
 }
 

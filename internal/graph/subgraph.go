@@ -1,21 +1,31 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Subgraph ties a set of local pages to the global graph they were drawn
 // from. It is the input shape shared by every subgraph ranker in this
 // repository: the paper's G_l together with enough of G_g to reason about
 // the boundary.
+//
+// Its index costs N/8 + N/16 + 4n bytes: the Member bitset, a rank
+// directory over the bitset's words, and the Local list. LocalID is a
+// rank query over the first two.
 type Subgraph struct {
 	Global *Graph
 	// Local maps local id (0..n-1) to global id; it is sorted ascending
 	// and free of duplicates.
 	Local []NodeID
-	// Member answers "is this global id a local page?" in O(1).
+	// Member answers "is this global id a local page?" in O(1). It is
+	// read-only: LocalID ranks over its words, so a caller that needs a
+	// mutable set must Clone it.
 	Member *NodeSet
-	// globalToLocal maps a global id to its local id + 1 (0 = external).
-	// Kept as a dense array: subgraph ranking touches it once per edge.
-	globalToLocal []uint32
+	// rank[w] counts the members with ids below 64w, one prefix count
+	// per word of Member. A local id is the number of members below it,
+	// so LocalID is a bit test plus one popcount.
+	rank []uint32
 }
 
 // NewSubgraph validates and indexes a set of local pages within global.
@@ -34,15 +44,20 @@ func NewSubgraph(global *Graph, local []NodeID) (*Subgraph, error) {
 		}
 		member.Add(id)
 	}
-	sorted := member.Slice()
 	if member.Len() == global.NumNodes() {
 		return nil, fmt.Errorf("graph: subgraph equals the global graph; use global PageRank instead")
 	}
-	g2l := make([]uint32, global.NumNodes())
-	for li, gid := range sorted {
-		g2l[gid] = uint32(li) + 1
+	// One pass over the words fills Local in id order and records, per
+	// word, how many members precede it.
+	sorted := make([]NodeID, 0, member.Len())
+	rank := make([]uint32, len(member.words))
+	for wi, w := range member.words {
+		rank[wi] = uint32(len(sorted))
+		for ; w != 0; w &= w - 1 {
+			sorted = append(sorted, NodeID(wi*64+bits.TrailingZeros64(w)))
+		}
 	}
-	return &Subgraph{Global: global, Local: sorted, Member: member, globalToLocal: g2l}, nil
+	return &Subgraph{Global: global, Local: sorted, Member: member, rank: rank}, nil
 }
 
 // N returns the number of local pages (the paper's n).
@@ -52,9 +67,15 @@ func (s *Subgraph) N() int { return len(s.Local) }
 func (s *Subgraph) External() int { return s.Global.NumNodes() - len(s.Local) }
 
 // LocalID returns the local id of global page gid and whether gid is local.
+// The local id is gid's rank among the members: the word's prefix count
+// plus the members below gid within its word.
 func (s *Subgraph) LocalID(gid NodeID) (uint32, bool) {
-	v := s.globalToLocal[gid]
-	return v - 1, v != 0
+	w, b := gid/64, gid%64
+	word := s.Member.words[w]
+	if word&(1<<b) == 0 {
+		return 0, false
+	}
+	return s.rank[w] + uint32(bits.OnesCount64(word&(1<<b-1))), true
 }
 
 // GlobalID returns the global id of local page li.

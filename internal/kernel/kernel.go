@@ -234,6 +234,7 @@ func (c *CSR) Release() {
 
 // DanglingMass returns the weighted score mass sitting on the dangling
 // states of cur: Σ w_i·cur[i] over DanglingIdx.
+//
 //arlint:hot
 func (c *CSR) DanglingMass(cur []float64) float64 {
 	s := 0.0
@@ -263,6 +264,7 @@ func (c *CSR) DanglingMass(cur []float64) float64 {
 // memory traffic itself. The row split is fixed (positions mod 4), so
 // the result does not depend on lo/hi and worker counts stay
 // bit-identical.
+//
 //arlint:hot
 func (c *CSR) SweepRange(next, cur, p, d []float64, lo, hi int, eps, danglingMass float64) float64 {
 	base := 1 - eps
@@ -297,6 +299,7 @@ func (c *CSR) SweepRange(next, cur, p, d []float64, lo, hi int, eps, danglingMas
 }
 
 // Sweep is SweepRange over all N targets.
+//
 //arlint:hot
 func (c *CSR) Sweep(next, cur, p, d []float64, eps, danglingMass float64) float64 {
 	return c.SweepRange(next, cur, p, d, 0, c.N, eps, danglingMass)
@@ -312,6 +315,7 @@ func (c *CSR) Uniform() bool { return c.InvOut != nil }
 // the same double multiplies the same double, so a scaled sweep is
 // bit-identical to the probability-carrying one. Only valid on Uniform
 // snapshots.
+//
 //arlint:hot
 func (c *CSR) ScaleInto(scaled, cur []float64) {
 	inv := c.InvOut
@@ -326,6 +330,7 @@ func (c *CSR) ScaleInto(scaled, cur []float64) {
 // no probability load, no multiply. cur is still needed for the L1
 // delta. The four-accumulator split matches SweepRange's, so both
 // paths produce bit-identical iterates.
+//
 //arlint:hot
 func (c *CSR) SweepRangeScaled(next, scaled, cur, p, d []float64, lo, hi int, eps, danglingMass float64) float64 {
 	base := 1 - eps
@@ -358,6 +363,7 @@ func (c *CSR) SweepRangeScaled(next, scaled, cur, p, d []float64, lo, hi int, ep
 }
 
 // SweepScaled is SweepRangeScaled over all N targets.
+//
 //arlint:hot
 func (c *CSR) SweepScaled(next, scaled, cur, p, d []float64, eps, danglingMass float64) float64 {
 	return c.SweepRangeScaled(next, scaled, cur, p, d, 0, c.N, eps, danglingMass)

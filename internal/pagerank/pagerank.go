@@ -358,6 +358,7 @@ func computeFlat(ctx context.Context, g DirectedGraph, opts Options) (*Result, e
 // renormalizes. Components with a vanishing second difference are left
 // unchanged, and any negative extrapolated value is clamped to the
 // un-extrapolated one (the iterate must stay a distribution).
+//
 //arlint:hot
 func extrapolate(x, prev1, prev2 []float64) {
 	for i := range x {
@@ -375,6 +376,7 @@ func extrapolate(x, prev1, prev2 []float64) {
 }
 
 // normalize rescales v to sum to 1 (no-op on a zero vector).
+//
 //arlint:hot
 func normalize(v []float64) {
 	sum := 0.0
@@ -403,6 +405,7 @@ func Uniform(n int) []float64 {
 // L1 returns the L1 distance Σ|a[i]−b[i]|. Vectors of different lengths
 // are incomparable and have distance +Inf — loud under any tolerance
 // check, without panicking inside a serving process.
+//
 //arlint:hot
 func L1(a, b []float64) float64 {
 	if len(a) != len(b) {

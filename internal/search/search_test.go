@@ -50,9 +50,9 @@ func TestIndexBasics(t *testing.T) {
 // shadowed a later entry).
 func TestBuildIndexDuplicateTerms(t *testing.T) {
 	terms := [][]uint32{
-		{5, 5, 7},       // adjacent duplicate (sorted bag)
+		{5, 5, 7}, // adjacent duplicate (sorted bag)
 		{7},
-		{5, 7, 5, 5},    // non-adjacent duplicates (unsorted bag)
+		{5, 7, 5, 5}, // non-adjacent duplicates (unsorted bag)
 		{1, 5},
 	}
 	ix := BuildIndex(terms)

@@ -85,7 +85,7 @@ func (s *Server) SaveDiskCache() error {
 	s.mu.Lock()
 	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
-		de := diskEntry{IDs: ids2uint32(e.ids)}
+		de := diskEntry{IDs: e.ids}
 		for key, res := range e.results {
 			if !res.Converged {
 				continue

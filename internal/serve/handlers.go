@@ -16,6 +16,13 @@ import (
 // ~8 MB of JSON; anything bigger is not a rank query.
 const maxBodyBytes = 16 << 20
 
+// maxRequestIterations caps a request's max_iterations. The power
+// iteration pre-sizes its delta history to the cap, so an unbounded
+// value would let one request allocate gigabytes before its first
+// sweep; 100,000 bounds that history at 800 KB, far past any
+// convergence the tolerances reach.
+const maxRequestIterations = 100_000
+
 // retryAfterSeconds is the Retry-After hint on 429/503 responses. The
 // admission queue drains at compute speed, so "soon" is honest; the
 // value exists so well-behaved clients back off at all.
@@ -132,6 +139,9 @@ func (s *Server) requestConfig(eps, tol float64, maxIter int, timeoutMS int64) (
 		if maxIter < 1 {
 			return cfg, badRequest(fmt.Errorf("max_iterations %d < 1", maxIter))
 		}
+		if maxIter > maxRequestIterations {
+			return cfg, badRequest(fmt.Errorf("max_iterations %d exceeds limit %d", maxIter, maxRequestIterations))
+		}
 		cfg.MaxIterations = maxIter
 	}
 	if timeoutMS < 0 {
@@ -190,7 +200,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rankResultOf(ids2uint32(ids), res, cached))
+	writeJSON(w, http.StatusOK, rankResultOf(ids, res, cached))
 }
 
 // handleRankBatch serves the batch form of /v1/rank. The response is
@@ -204,7 +214,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, items [][]uint32, cfg co
 	s.mu.Lock()
 	s.stats.BatchRequests++
 	s.mu.Unlock()
-	results, errs, err := s.rankBatch(items, cfg)
+	results, idLists, errs, err := s.rankBatch(items, cfg)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -212,14 +222,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, items [][]uint32, cfg co
 	out := make([]batchItem, len(items))
 	for i := range items {
 		if results[i] != nil {
-			canon, cerr := canonicalIDs(items[i], s.gctx.Graph().NumNodes())
-			if cerr != nil {
-				// canonicalIDs succeeded moments ago inside rankBatch for
-				// every item that has a result; a failure here is a bug.
-				out[i] = batchItem{Error: cerr.Error()}
-				continue
-			}
-			out[i] = batchItem{Result: rankResultOf(ids2uint32(canon), results[i], false)}
+			out[i] = batchItem{Result: rankResultOf(idLists[i], results[i], false)}
 		} else if errs[i] != nil {
 			out[i] = batchItem{Error: errs[i].Error()}
 		} else {
@@ -337,8 +340,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v) //arlint:allow errflow the status line is already sent; the client sees the truncated body
 }
 
-// rankResultOf shapes a core result for the wire.
-func rankResultOf(nodes []uint32, res *core.Result, cached bool) *rankResult {
+// rankResultOf shapes a core result for the wire. nodes is the canonical
+// id list itself (graph.NodeID is uint32), encoded without a copy.
+func rankResultOf(nodes []graph.NodeID, res *core.Result, cached bool) *rankResult {
 	return &rankResult{
 		Nodes:      nodes,
 		Scores:     res.Scores,
@@ -347,13 +351,4 @@ func rankResultOf(nodes []uint32, res *core.Result, cached bool) *rankResult {
 		Converged:  res.Converged,
 		Cached:     cached,
 	}
-}
-
-// ids2uint32 converts canonical ids back to the wire type.
-func ids2uint32(ids []graph.NodeID) []uint32 {
-	out := make([]uint32, len(ids))
-	for i, id := range ids {
-		out[i] = uint32(id)
-	}
-	return out
 }

@@ -409,8 +409,10 @@ func (s *Server) searchEngine(ids []graph.NodeID, key string, res *core.Result) 
 // validation are answered per-item; a mid-batch failure cancels the
 // remainder (the library's fail-fast contract) but the survivors —
 // chains that completed before the poison — are still served and cached,
-// which is exactly what the partial-results slice exists for.
-func (s *Server) rankBatch(items [][]uint32, cfg core.Config) ([]*core.Result, []error, error) {
+// which is exactly what the partial-results slice exists for. It also
+// returns each item's canonical id list, which the item's scores are
+// aligned with (nil where the item failed validation).
+func (s *Server) rankBatch(items [][]uint32, cfg core.Config) ([]*core.Result, [][]graph.NodeID, []error, error) {
 	results := make([]*core.Result, len(items))
 	errs := make([]error, len(items))
 	idLists := make([][]graph.NodeID, len(items))
@@ -443,7 +445,7 @@ func (s *Server) rankBatch(items [][]uint32, cfg core.Config) ([]*core.Result, [
 			cfg.Deadline = 0
 		}
 		if err := s.adm.acquire(ctx); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		defer s.adm.release()
 		var partial []*core.Result
@@ -475,7 +477,7 @@ func (s *Server) rankBatch(items [][]uint32, cfg core.Config) ([]*core.Result, [
 		}
 	}
 	s.mu.Unlock()
-	return results, errs, nil
+	return results, idLists, errs, nil
 }
 
 // defaultInFlight admits one computation per schedulable CPU: the

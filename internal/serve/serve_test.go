@@ -477,6 +477,17 @@ func TestBatchPartialResults(t *testing.T) {
 	if resp.Results[1].Error == "" || resp.Results[1].Result != nil {
 		t.Fatalf("poisoned item not failed: %+v", resp.Results[1])
 	}
+	// Each survivor's nodes are its canonical id list, aligned with its
+	// scores.
+	for _, i := range []int{0, 2} {
+		want, err := canonicalIDs(items[i], ds.Graph.NumNodes())
+		if err != nil {
+			t.Fatalf("canonicalIDs: %v", err)
+		}
+		if got := resp.Results[i].Result; !idsEqual(got.Nodes, want) || len(got.Scores) != len(want) {
+			t.Errorf("item %d: nodes %v (%d scores), want %v", i, got.Nodes, len(got.Scores), want)
+		}
+	}
 	st := s.Stats()
 	if st.BatchChainsRun != 2 || st.BatchChainsFailed != 1 {
 		t.Errorf("stats = %+v, want 2 run / 1 failed", st)
@@ -560,6 +571,36 @@ func TestValidation(t *testing.T) {
 		t.Fatalf("decode stats: %v", err)
 	}
 	stResp.Body.Close()
+}
+
+// TestMaxIterationsCap: a request's max_iterations above
+// maxRequestIterations is a 400 answered before any allocation sized by
+// it, single and batch alike; the cap itself is still served.
+func TestMaxIterationsCap(t *testing.T) {
+	ds, _ := testWeb(t, 400, 12)
+	s, hs := newTestServer(t, Options{Context: core.NewContext(ds.Graph)})
+	nodes := pagesOf(ds, 0, 20)
+
+	huge := rankRequest{Nodes: nodes, MaxIterations: 2_000_000_000}
+	if code := post(t, hs.URL+"/v1/rank", huge, nil); code != http.StatusBadRequest {
+		t.Errorf("max_iterations 2e9: status %d, want 400", code)
+	}
+	hugeBatch := rankRequest{Subgraphs: [][]uint32{nodes}, MaxIterations: maxRequestIterations + 1}
+	if code := post(t, hs.URL+"/v1/rank", hugeBatch, nil); code != http.StatusBadRequest {
+		t.Errorf("batch max_iterations %d: status %d, want 400", maxRequestIterations+1, code)
+	}
+	if st := s.Stats(); st.Computations != 0 || st.Misses != 0 {
+		t.Fatalf("rejected requests reached the compute tier: %+v", st)
+	}
+
+	var res rankResult
+	atCap := rankRequest{Nodes: nodes, MaxIterations: maxRequestIterations}
+	if code := post(t, hs.URL+"/v1/rank", atCap, &res); code != http.StatusOK {
+		t.Fatalf("max_iterations %d: status %d, want 200", maxRequestIterations, code)
+	}
+	if !res.Converged || len(res.Scores) != len(nodes) {
+		t.Errorf("max_iterations at the cap: converged=%v, %d scores for %d nodes", res.Converged, len(res.Scores), len(nodes))
+	}
 }
 
 // TestChainReuseAcrossConfigs: a second configuration for a cached
