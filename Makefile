@@ -53,14 +53,15 @@ race:
 
 # Focused engine benchmarks (chain construction, ApproxRank, the
 # sequential and parallel power iterations, RankMany fan-out, the
-# kernel's pooled-vs-respawn sweep pair, and the graph loading pipeline:
+# kernel's pooled-vs-respawn sweep pair, the graph loading pipeline:
 # v1-vs-v2 load, zero-copy mmap open, text-loader allocs, and the
-# save→mmap→rank end-to-end path) parsed to a machine-readable
+# save→mmap→rank end-to-end path, and serve's request hot path: rank
+# body decoding and id canonicalization) parsed to a machine-readable
 # artifact. BENCHTIME trades precision for speed; the graph corpus runs
 # at ~1M edges here — set GRAPH_BENCH_CRAWL=1 for the 10M/50M scales.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' \
-		./internal/core/ ./internal/pagerank/ ./internal/kernel/ ./internal/graph/ | $(GO) run ./cmd/benchjson > BENCH_core.json
+		./internal/core/ ./internal/pagerank/ ./internal/kernel/ ./internal/graph/ ./internal/serve/ | $(GO) run ./cmd/benchjson > BENCH_core.json
 	@echo "wrote BENCH_core.json"
 
 # Gate the current tree's benchmarks against a baseline artifact:
@@ -80,3 +81,5 @@ fuzz-smoke:
 	$(GO) test ./internal/graph/ -run FuzzReadEdgeList -fuzz FuzzReadEdgeList -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/ -run FuzzSubgraph -fuzz FuzzSubgraph -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/metrics/ -run FuzzRankingMetrics -fuzz FuzzRankingMetrics -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run FuzzRankRequest -fuzz FuzzRankRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run FuzzCanonicalIDs -fuzz FuzzCanonicalIDs -fuzztime $(FUZZTIME)

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"container/list"
-	"sort"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -92,19 +92,27 @@ func (c *lruCache) len() int { return c.ll.Len() }
 // id must fall inside the global graph, and the returned copy is sorted
 // ascending with duplicates removed — the subgraph identity every cache
 // layer keys on (graph.NewSubgraph applies the same normalization, so
-// the key and the built subgraph can never disagree).
+// the key and the built subgraph can never disagree). Input that is
+// already non-decreasing (domain slices, disk-cache ids) skips the sort;
+// anything else is radix-sorted.
 func canonicalIDs(nodes []uint32, numNodes int) ([]graph.NodeID, error) {
 	if len(nodes) == 0 {
 		return nil, errNoNodes
 	}
 	ids := make([]graph.NodeID, len(nodes))
+	sorted := true
+	var hi graph.NodeID
 	for i, v := range nodes {
 		if int(v) >= numNodes {
 			return nil, &nodeRangeError{id: v, n: numNodes}
 		}
-		ids[i] = graph.NodeID(v)
+		sorted = sorted && v >= hi
+		hi = max(hi, v)
+		ids[i] = v
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	if !sorted {
+		ids = radixSort(ids, make([]graph.NodeID, len(ids)), hi)
+	}
 	w := 1
 	for i := 1; i < len(ids); i++ {
 		if ids[i] != ids[i-1] {
@@ -113,6 +121,39 @@ func canonicalIDs(nodes []uint32, numNodes int) ([]graph.NodeID, error) {
 		}
 	}
 	return ids[:w], nil
+}
+
+// radixBits is the digit width of radixSort: three passes cover any
+// uint32, two cover ids below 2^22, and a pass's 2^11 counters fit in L1.
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
+// radixSort sorts ids ascending by an LSD radix sort over 11-bit digits,
+// running only the passes that hi, the largest id, has significant bits
+// for. Each pass scatters stably into the other of ids and tmp (equal
+// lengths); the returned slice is whichever of the two ends up sorted.
+func radixSort(ids, tmp []graph.NodeID, hi graph.NodeID) []graph.NodeID {
+	var count [1 << radixBits]int
+	for shift := 0; shift < bits.Len32(hi); shift += radixBits {
+		clear(count[:])
+		for _, v := range ids {
+			count[v>>shift&radixMask]++
+		}
+		sum := 0
+		for d, c := range count[:] {
+			count[d] = sum
+			sum += c
+		}
+		for _, v := range ids {
+			d := v >> shift & radixMask
+			tmp[count[d]] = v
+			count[d]++
+		}
+		ids, tmp = tmp, ids
+	}
+	return ids
 }
 
 const (

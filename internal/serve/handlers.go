@@ -149,9 +149,12 @@ func (s *Server) requestConfig(eps, tol float64, maxIter int, timeoutMS int64) (
 	}
 	timeout := s.defTimeout
 	if timeoutMS > 0 {
-		timeout = time.Duration(timeoutMS) * time.Millisecond
-		if timeout > s.maxTimeout {
-			timeout = s.maxTimeout
+		// Compare in milliseconds: multiplying first overflows a Duration
+		// for timeout_ms past ~9.2e12 and wraps into a tiny or negative
+		// budget instead of the cap.
+		timeout = s.maxTimeout
+		if timeoutMS <= int64(s.maxTimeout/time.Millisecond) {
+			timeout = time.Duration(timeoutMS) * time.Millisecond
 		}
 	}
 	cfg.Deadline = timeout
@@ -165,8 +168,8 @@ func (s *Server) requestConfig(eps, tol float64, maxIter int, timeoutMS int64) (
 
 // handleRank serves POST /v1/rank: single subgraph or batch.
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	var req rankRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	req, err := readRankRequest(w, r)
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}

@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -680,6 +684,101 @@ func TestCanonicalIDs(t *testing.T) {
 	}
 	if !idsEqual(want, want) || idsEqual(want, want[:2]) {
 		t.Error("idsEqual broken")
+	}
+	for _, nodes := range canonicalBoundaryCases() {
+		checkCanonicalIDs(t, nodes)
+	}
+}
+
+// canonicalBoundaryCases are id lists that cross radixSort's 2^11 and
+// 2^22 digit boundaries, reach 2^32-2, need one, two or three passes,
+// or skip the sort: sorted, reverse-sorted and all-equal input.
+func canonicalBoundaryCases() [][]uint32 {
+	reversed := make([]uint32, 5000)
+	for i := range reversed {
+		reversed[i] = uint32(len(reversed)-i) * 859
+	}
+	return [][]uint32{
+		{3, 1, 2, 1},
+		{2047, 2048, 2046, 2049, 2048, 0},
+		{4194303, 4194304, 2048, 4194305, 0, 2047, 4194304},
+		{4294967294, 0, 4294967294, 1 << 22, 1 << 11, 1, (1 << 22) - 1},
+		{1, 1, 2, 3, 3, 3, 10, 4294967294},
+		reversed,
+		{7, 7, 7, 7},
+		{0, 0, 0},
+		{4294967294},
+		{0},
+	}
+}
+
+// checkCanonicalIDs checks canonicalIDs over a graph of 2^32-1 nodes
+// against slices.Sort + slices.Compact, and that it leaves its input
+// alone.
+func checkCanonicalIDs(t *testing.T, nodes []uint32) {
+	t.Helper()
+	in := slices.Clone(nodes)
+	got, err := canonicalIDs(nodes, math.MaxUint32)
+	if !slices.Equal(nodes, in) {
+		t.Fatalf("canonicalIDs modified its input %v", in)
+	}
+	var rangeErr *nodeRangeError
+	switch {
+	case len(nodes) == 0:
+		if !errors.Is(err, errNoNodes) {
+			t.Fatalf("empty list: err %v, want errNoNodes", err)
+		}
+	case slices.Contains(nodes, math.MaxUint32):
+		if !errors.As(err, &rangeErr) || rangeErr.id != math.MaxUint32 {
+			t.Fatalf("%v: err %v, want node %d out of range", nodes, err, uint32(math.MaxUint32))
+		}
+	default:
+		want := slices.Clone(nodes)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("canonicalIDs(%v) = %v, %v; want %v", nodes, got, err, want)
+		}
+	}
+}
+
+// FuzzCanonicalIDs: canonicalIDs agrees with slices.Sort + slices.Compact
+// on any list of ids, read four little-endian bytes at a time.
+func FuzzCanonicalIDs(f *testing.F) {
+	for _, nodes := range canonicalBoundaryCases() {
+		data := make([]byte, 0, 4*len(nodes))
+		for _, v := range nodes {
+			data = binary.LittleEndian.AppendUint32(data, v)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nodes := make([]uint32, len(data)/4)
+		for i := range nodes {
+			nodes[i] = binary.LittleEndian.Uint32(data[4*i:])
+		}
+		checkCanonicalIDs(t, nodes)
+	})
+}
+
+// BenchmarkCanonicalIDs canonicalizes a crawl-order id list (radix sort)
+// and the same list sorted (the O(n) check alone).
+func BenchmarkCanonicalIDs(b *testing.B) {
+	crawl := benchCrawl(b)
+	sorted := slices.Clone(crawl)
+	slices.Sort(sorted)
+	for _, bc := range []struct {
+		name  string
+		nodes []uint32
+	}{{"crawl-order", crawl}, {"sorted", sorted}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := canonicalIDs(bc.nodes, 20000); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
