@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -131,27 +132,75 @@ type Result struct {
 }
 
 // Context caches the per-global-graph aggregates that Λ-row construction
-// needs: the global page count and the set of dangling pages. Building a
-// Context scans the global graph once; afterwards chains for any number of
-// subgraphs of that graph are assembled from local information only. This
+// needs: the dangling page count and, once a second ApproxRank chain
+// asks for it, the in-mass of every page. Building a Context scans the
+// global graph once; afterwards chains for any number of subgraphs of
+// that graph are assembled from their local pages' out-edges only. This
 // realizes the paper's precomputation argument for multi-subgraph
 // workloads ("we can preprocess the global graph for one time, and decide
 // A_approx for each subgraph with only local cost").
 type Context struct {
 	g        *graph.Graph
-	dangling []graph.NodeID
+	dangling int
+
+	// inMass[k] = Σ_{j→k} A[j][k], the column sums of the global
+	// transition matrix (8N bytes, one O(N+M) pass). One chain does not
+	// amortize that pass, so the first NewApproxChainCtx sums its own
+	// pages' in-mass as NewApproxChain does, and the second builds the
+	// vector: a Context that ranks at most one subgraph never pays for it.
+	chained    atomic.Bool
+	inMassOnce sync.Once
+	inMass     []float64
 }
 
 // NewContext precomputes the global aggregates for g.
 func NewContext(g *graph.Graph) *Context {
-	return &Context{g: g, dangling: g.DanglingNodes()}
+	d := 0
+	for u := 0; u < g.NumNodes(); u++ {
+		if g.Dangling(graph.NodeID(u)) {
+			d++
+		}
+	}
+	return &Context{g: g, dangling: d}
 }
 
 // Graph returns the global graph the context was built for.
 func (ctx *Context) Graph() *graph.Graph { return ctx.g }
 
 // DanglingCount returns the number of dangling pages in the global graph.
-func (ctx *Context) DanglingCount() int { return len(ctx.dangling) }
+func (ctx *Context) DanglingCount() int { return ctx.dangling }
+
+// inMassVec returns the global in-mass vector, building it on first use,
+// or nil on the Context's first chain.
+func (ctx *Context) inMassVec() []float64 {
+	if !ctx.chained.Load() && ctx.chained.CompareAndSwap(false, true) {
+		return nil
+	}
+	ctx.inMassOnce.Do(func() {
+		m := make([]float64, ctx.g.NumNodes())
+		for k := range m {
+			m[k] = inMassOf(ctx.g, graph.NodeID(k))
+		}
+		ctx.inMass = m
+	})
+	return ctx.inMass
+}
+
+// inMassOf returns Σ_{j→k} A[j][k], summed over k's in-row in CSR
+// order. The Context's vector and the one-shot path both call it, so
+// their Λ rows are bit-identical.
+func inMassOf(g *graph.Graph, k graph.NodeID) float64 {
+	ws := g.InWeights(k)
+	s := 0.0
+	for i, j := range g.InNeighbors(k) {
+		if ws != nil {
+			s += ws[i] / g.WeightOut(j)
+		} else {
+			s += 1.0 / g.WeightOut(j)
+		}
+	}
+	return s
+}
 
 // ExtendedChain is the n+1-state Markov chain of the extended local graph
 // G_e: states 0..n−1 are the local pages (in subgraph-local id order) and
@@ -159,9 +208,10 @@ func (ctx *Context) DanglingCount() int { return len(ctx.dangling) }
 // Λ are shared between IdealRank and ApproxRank; the Λ row is what
 // distinguishes them.
 type ExtendedChain struct {
-	sub  *graph.Subgraph
-	n    int // local pages
-	bigN int // global pages
+	g     *graph.Graph
+	local []graph.NodeID // sorted global ids of the local pages
+	n     int            // local pages
+	bigN  int            // global pages
 
 	// Local block, CSR over local ids: row i transitions to locAdj[k] with
 	// probability locProb[k] for k in [locOff[i], locOff[i+1]), plus
@@ -192,8 +242,17 @@ type ExtendedChain struct {
 	pull     *kernel.CSR
 }
 
-// Subgraph returns the subgraph the chain ranks.
-func (c *ExtendedChain) Subgraph() *graph.Subgraph { return c.sub }
+// Subgraph returns the subgraph the chain ranks. The chain keeps only
+// the local id list, not the O(N) membership index, so each call
+// rebuilds the Subgraph from the ids. The ids came from a valid
+// Subgraph, so the rebuild cannot fail; nil would mean they had.
+func (c *ExtendedChain) Subgraph() *graph.Subgraph {
+	sub, err := graph.NewSubgraph(c.g, c.local)
+	if err != nil {
+		return nil
+	}
+	return sub
+}
 
 // NumLocal returns n, the number of local pages.
 func (c *ExtendedChain) NumLocal() int { return c.n }
@@ -241,24 +300,37 @@ func (c *ExtendedChain) LambdaSelfLoop() float64 {
 
 // NewApproxChain builds the ApproxRank chain for sub: external pages are
 // assumed equally important (E_approx uniform). The global graph is
-// scanned once for its dangling set; use NewApproxChainCtx with a shared
-// Context to amortize that scan across many subgraphs.
+// scanned once for its dangling count, and each local page's in-mass is
+// summed from its own in-row, so the chain costs no O(N) memory; use
+// NewApproxChainCtx with a shared Context to amortize both across many
+// subgraphs.
 func NewApproxChain(sub *graph.Subgraph) (*ExtendedChain, error) {
 	if sub == nil {
 		return nil, fmt.Errorf("core: nil subgraph")
 	}
-	return NewApproxChainCtx(NewContext(sub.Global), sub)
+	return newUniformChain(NewContext(sub.Global), sub, nil), nil
 }
 
 // NewApproxChainCtx builds the ApproxRank chain for sub using the
 // precomputed global Context. ctx must have been built from sub.Global.
+// The second call on a Context builds its in-mass vector; from then on
+// a chain reads only its local pages' out-edges.
 func NewApproxChainCtx(ctx *Context, sub *graph.Subgraph) (*ExtendedChain, error) {
 	if err := checkCtx(ctx, sub); err != nil {
 		return nil, err
 	}
-	c := newChainShell(sub)
+	return newUniformChain(ctx, sub, ctx.inMassVec()), nil
+}
+
+// newUniformChain builds the ApproxRank chain. inMass is the Context's
+// in-mass vector, or nil to sum each local page's in-mass on the fly.
+func newUniformChain(ctx *Context, sub *graph.Subgraph, inMass []float64) *ExtendedChain {
+	// The shell's per-page in-edge tallies go into the Λ row's own
+	// buffers, which uniformLambdaRow then compacts into the row.
+	adj, prob := make([]uint32, sub.N()), make([]float64, sub.N())
+	c := newChainShell(sub, prob, adj)
 	w := 1.0 / float64(sub.External())
-	c.buildLambdaRow(func(graph.NodeID) float64 { return w })
+	c.uniformLambdaRow(w, inMass, prob, adj)
 	// Locally-dangling pages are a subset of the global dangling set, so
 	// the external dangling count is a subtraction — O(1) given the
 	// shell, replacing the former O(global-dangling) membership scan that
@@ -266,7 +338,7 @@ func NewApproxChainCtx(ctx *Context, sub *graph.Subgraph) (*ExtendedChain, error
 	extDangling := ctx.DanglingCount() - len(c.locDang)
 	c.extDanglingMass = float64(extDangling) * w
 	c.finishLambdaRow()
-	return c, nil
+	return c
 }
 
 // NewIdealChain builds the IdealRank chain for sub from the full global
@@ -304,8 +376,8 @@ func NewChainWithExternalScores(sub *graph.Subgraph, extScores []float64) (*Exte
 	if extSum <= 0 {
 		return nil, fmt.Errorf("core: external scores sum to zero")
 	}
-	c := newChainShell(sub)
-	c.buildLambdaRow(func(j graph.NodeID) float64 { return extScores[j] / extSum })
+	c := newChainShell(sub, nil, nil)
+	c.buildLambdaRow(sub, func(j graph.NodeID) float64 { return extScores[j] / extSum })
 	extDanglingMass := 0.0
 	for gid := range extScores {
 		id := graph.NodeID(gid)
@@ -334,11 +406,15 @@ func checkCtx(ctx *Context, sub *graph.Subgraph) error {
 
 // newChainShell builds the parts shared by every chain flavour: the local
 // block with global out-degree denominators and the column into Λ.
-func newChainShell(sub *graph.Subgraph) *ExtendedChain {
+// localIn and localCnt are nil, or zeroed n-entry buffers: the fill pass
+// then adds to entry k the mass A[j][k] and the count of k's in-edges
+// from local pages j.
+func newChainShell(sub *graph.Subgraph, localIn []float64, localCnt []uint32) *ExtendedChain {
 	g := sub.Global
 	n := sub.N()
 	c := &ExtendedChain{
-		sub:           sub,
+		g:             g,
+		local:         sub.Local,
 		n:             n,
 		bigN:          g.NumNodes(),
 		locOff:        make([]int64, n+1),
@@ -353,7 +429,7 @@ func newChainShell(sub *graph.Subgraph) *ExtendedChain {
 		}
 		cnt := 0
 		for _, v := range g.OutNeighbors(gid) {
-			if _, local := sub.LocalID(v); local {
+			if sub.Member.Contains(v) {
 				cnt++
 			}
 		}
@@ -390,8 +466,9 @@ func newChainShell(sub *graph.Subgraph) *ExtendedChain {
 		adj := g.OutNeighbors(gid)
 		ws := g.OutWeights(gid)
 		extProb := 0.0
+		unit := 1.0 / wout
 		for k, v := range adj {
-			p := 1.0 / wout
+			p := unit
 			if ws != nil {
 				p = ws[k] / wout
 			}
@@ -400,6 +477,10 @@ func newChainShell(sub *graph.Subgraph) *ExtendedChain {
 				c.locAdj[slot] = lv
 				c.locProb[slot] = p
 				cursor[li]++
+				if localIn != nil {
+					localIn[lv] += p
+					localCnt[lv]++
+				}
 			} else {
 				extProb += p
 			}
@@ -411,22 +492,21 @@ func newChainShell(sub *graph.Subgraph) *ExtendedChain {
 
 // buildLambdaRow fills the sparse Λ→local entries: for each local page k,
 // the sum over its external in-neighbours j of weight(j)·A[j][k]. weight
-// must return the normalized E entry for an external page.
-func (c *ExtendedChain) buildLambdaRow(weight func(graph.NodeID) float64) {
-	g := c.sub.Global
-	// Presize for the dense worst case (every local page has an external
+// must return the normalized E entry for an external page. It serves
+// non-uniform E; uniform E takes uniformLambdaRow.
+func (c *ExtendedChain) buildLambdaRow(sub *graph.Subgraph, weight func(graph.NodeID) float64) {
+	g := c.g
+	// Presized for the dense worst case (every local page has an external
 	// in-neighbour) so the appends never reallocate — the doubling growth
-	// here used to dominate chain-construction allocations — then compact
-	// when the row turns out sparse so long-lived chains don't pin 2n of
-	// capacity.
+	// here used to dominate chain-construction allocations.
 	adj := make([]uint32, 0, c.n)
 	prob := make([]float64, 0, c.n)
-	for li, gid := range c.sub.Local {
+	for li, gid := range c.local {
 		ins := g.InNeighbors(gid)
 		ws := g.InWeights(gid)
 		p := 0.0
 		for k, j := range ins {
-			if _, local := c.sub.LocalID(j); local {
+			if sub.Member.Contains(j) {
 				continue
 			}
 			aj := 1.0 / g.WeightOut(j)
@@ -440,6 +520,47 @@ func (c *ExtendedChain) buildLambdaRow(weight func(graph.NodeID) float64) {
 			prob = append(prob, p)
 		}
 	}
+	c.setLambdaRow(adj, prob)
+}
+
+// uniformLambdaRow fills the Λ row for uniform E weight w without reading
+// an external in-neighbour. With inMass[k] = Σ_{j→k} A[j][k], the entry
+// of local page k is w·(inMass[k] − localIn[k]), where localIn[k] and
+// localCnt[k] are the mass and count of k's in-edges from local pages
+// (newChainShell's fill pass). Page k has an entry iff it has an
+// external in-neighbour, an exact integer test; the subtraction is
+// clamped at zero against rounding. inMass is indexed by global id; nil
+// sums each local page's in-mass from its in-row instead.
+//
+// The row is compacted over localIn and localCnt in place: entry e is
+// written at index e ≤ k only after page k's tallies are read.
+func (c *ExtendedChain) uniformLambdaRow(w float64, inMass, localIn []float64, localCnt []uint32) {
+	g := c.g
+	e := 0
+	for li, gid := range c.local {
+		in, cnt := localIn[li], localCnt[li]
+		if g.InDegree(gid) <= int(cnt) {
+			continue
+		}
+		var m float64
+		if inMass != nil {
+			m = inMass[gid]
+		} else {
+			m = inMassOf(g, gid)
+		}
+		d := m - in
+		if d < 0 {
+			d = 0
+		}
+		localCnt[e], localIn[e] = uint32(li), w*d
+		e++
+	}
+	c.setLambdaRow(localCnt[:e], localIn[:e])
+}
+
+// setLambdaRow stores the Λ row, compacting it when it turned out sparse
+// so long-lived chains don't pin 2n of capacity.
+func (c *ExtendedChain) setLambdaRow(adj []uint32, prob []float64) {
 	if len(adj)*2 < c.n {
 		adj = append(make([]uint32, 0, len(adj)), adj...)
 		prob = append(make([]float64, 0, len(prob)), prob...)
@@ -507,15 +628,19 @@ func (c *ExtendedChain) RunCtx(ctx context.Context, cfg Config) (*Result, error)
 			return nil, fmt.Errorf("core: personalization has length %d, want N=%d",
 				len(cfg.Personalization), c.bigN)
 		}
+		// A merge walk over the sorted local ids: next is the local id of
+		// the next local page at or after gid.
 		sum := 0.0
 		pvec[n] = 0
+		next := 0
 		for gid, p := range cfg.Personalization {
 			if p < 0 || math.IsNaN(p) {
 				return nil, fmt.Errorf("core: invalid personalization entry %v at %d", p, gid)
 			}
 			sum += p
-			if li, local := c.sub.LocalID(graph.NodeID(gid)); local {
-				pvec[li] = p
+			if next < n && int(c.local[next]) == gid {
+				pvec[next] = p
+				next++
 			} else {
 				pvec[n] += p
 			}

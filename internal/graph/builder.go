@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -54,7 +55,7 @@ func (b *Builder) AddEdge(u, v NodeID) {
 }
 
 // AddWeightedEdge records the directed edge u→v carrying authority-transfer
-// weight w. Non-positive weights are ignored.
+// weight w. Non-positive and non-finite (NaN, ±Inf) weights are ignored.
 func (b *Builder) AddWeightedEdge(u, v NodeID, w float64) {
 	if b.fixed && !b.weighted {
 		b.mixErr = true
@@ -64,7 +65,7 @@ func (b *Builder) AddWeightedEdge(u, v NodeID, w float64) {
 	b.weighted = true
 	b.EnsureNode(u)
 	b.EnsureNode(v)
-	if w <= 0 {
+	if !(w > 0) || math.IsInf(w, 1) {
 		return
 	}
 	b.src = append(b.src, u)

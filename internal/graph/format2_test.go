@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -394,6 +395,42 @@ func TestSniffFile(t *testing.T) {
 		}
 		if !graphsEqual(g, back) {
 			t.Errorf("LoadFile(%s): round trip mismatch", path)
+		}
+	}
+}
+
+// TestV2RejectsNonFiniteWeights: a well-formed, correctly checksummed
+// v2 image whose weight sections carry a NaN, an infinity or a zero
+// must fail to load on both parsers and through MmapFile, instead of
+// loading a graph whose transition probabilities are NaN.
+func TestV2RejectsNonFiniteWeights(t *testing.T) {
+	bad := map[string]func(g *Graph){
+		"NaN out-weight":   func(g *Graph) { g.outW[0] = math.NaN() },
+		"+Inf in-weight":   func(g *Graph) { g.inW[1] = math.Inf(1) },
+		"zero out-weight":  func(g *Graph) { g.outW[2] = 0 },
+		"NaN total weight": func(g *Graph) { g.wOut[0] = math.NaN() },
+		"zero total":       func(g *Graph) { g.wOut[0] = 0 },
+	}
+	for name, corrupt := range bad {
+		g := randomGraph(rand.New(rand.NewSource(23)), true)
+		if g.OutDegree(0) == 0 {
+			t.Fatal("test graph needs out-edges on node 0")
+		}
+		corrupt(g)
+		var buf bytes.Buffer
+		if err := WriteBinaryV2(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBinaryV2(bytes.NewReader(buf.Bytes())); err == nil {
+			t.Errorf("%s: ReadBinaryV2 accepted the image", name)
+		}
+		path := filepath.Join(t.TempDir(), "g.v2bin")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := MmapFile(path); err == nil {
+			_ = m.Close()
+			t.Errorf("%s: MmapFile accepted the image", name)
 		}
 	}
 }

@@ -46,6 +46,19 @@ func FuzzReadBinaryV2(f *testing.F) {
 	}
 	f.Add(full.Bytes())
 	f.Add(noIn.Bytes())
+	wb := NewBuilder(4)
+	wb.AddWeightedEdge(0, 1, 2.5)
+	wb.AddWeightedEdge(0, 2, 0.5)
+	wb.AddWeightedEdge(2, 3, 1)
+	wg, err := wb.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var weighted bytes.Buffer
+	if err := writeBinaryV2(&weighted, wg, true); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(weighted.Bytes())
 	f.Add([]byte(magicV2))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -69,6 +82,8 @@ func FuzzReadBinaryV2(f *testing.F) {
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("# nodes: 5\n0 1 2.5\n")
+	f.Add("0 1 NaN\n1 2 1\n")
+	f.Add("0 1 +Inf\n")
 	f.Add("")
 	f.Add("a b c\n")
 	f.Fuzz(func(t *testing.T, data string) {

@@ -4,13 +4,16 @@
 // Graphs are stored in compressed sparse row (CSR) form over dense uint32
 // node ids. Both the out-adjacency and the in-adjacency are materialized:
 // PageRank-style push iterations walk out-edges, while the Λ-row
-// construction in the ApproxRank/IdealRank framework aggregates over the
-// in-edges of local pages. Graphs are immutable after construction; build
-// them with a Builder or load them with LoadEdgeList/ReadBinary.
+// construction in the ApproxRank/IdealRank framework aggregates over
+// in-edges (of local pages for IdealRank, of every page once per graph
+// for ApproxRank's in-mass vector). Graphs are immutable after
+// construction; build them with a Builder or load them with
+// LoadEdgeList/ReadBinary.
 package graph
 
 import (
 	"fmt"
+	"math"
 )
 
 // NodeID identifies a node. Ids are dense: a graph with n nodes uses ids
@@ -228,6 +231,27 @@ func (g *Graph) validate() error {
 	}
 	if g.outW != nil && (len(g.outW) != len(g.outAdj) || len(g.inW) != len(g.inAdj)) {
 		return fmt.Errorf("graph: weight arrays have wrong length")
+	}
+	if g.outW == nil {
+		return nil
+	}
+	// Weighted: every edge weight is finite and positive, so a node's
+	// total out-weight is positive exactly when it has out-edges and a
+	// dangling node lists no edge.
+	for _, ws := range [2][]float64{g.outW, g.inW} {
+		for k, w := range ws {
+			if !(w > 0) || math.IsInf(w, 1) {
+				return fmt.Errorf("graph: edge weight %v at slot %d is not finite and positive", w, k)
+			}
+		}
+	}
+	if len(g.wOut) != g.n {
+		return fmt.Errorf("graph: total out-weight array has wrong length")
+	}
+	for u, w := range g.wOut {
+		if math.IsNaN(w) || math.IsInf(w, 0) || (w > 0) != (g.outOff[u+1] > g.outOff[u]) {
+			return fmt.Errorf("graph: total out-weight %v of node %d is not finite or disagrees with its out-degree", w, u)
+		}
 	}
 	return nil
 }

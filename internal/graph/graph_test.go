@@ -69,6 +69,8 @@ func TestWeightedBuilder(t *testing.T) {
 	b.AddWeightedEdge(0, 2, 5)
 	b.AddWeightedEdge(1, 2, 1)
 	b.AddWeightedEdge(2, 0, -1) // ignored
+	b.AddWeightedEdge(2, 1, math.NaN())
+	b.AddWeightedEdge(2, 0, math.Inf(1))
 	g, err := b.Build()
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -90,7 +92,7 @@ func TestWeightedBuilder(t *testing.T) {
 		t.Fatalf("TransitionProb(0,0) = %v, want 0.5", p)
 	}
 	if !g.Dangling(2) {
-		t.Fatal("node 2 with only a rejected negative edge must be dangling")
+		t.Fatal("node 2 with only rejected negative and non-finite edges must be dangling")
 	}
 	// In-weights must mirror out-weights.
 	inW := g.InWeights(2)

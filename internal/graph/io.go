@@ -86,6 +86,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight: %v", line, err)
 			}
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return nil, fmt.Errorf("graph: line %d: bad weight %q: not finite", line, f2)
+			}
 			b.AddWeightedEdge(NodeID(u), NodeID(v), w)
 		} else {
 			b.AddEdge(NodeID(u), NodeID(v))

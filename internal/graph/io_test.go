@@ -117,6 +117,10 @@ func TestEdgeListErrors(t *testing.T) {
 		"a 1\n",            // bad source
 		"0 b\n",            // bad target
 		"0 1 x\n",          // bad weight
+		"0 1 NaN\n",        // non-finite weight
+		"0 1 Inf\n",        // non-finite weight
+		"0 1 +Inf\n",       // non-finite weight
+		"0 1 -Inf\n",       // non-finite weight
 		"# nodes: -3\n0 1", // bad header
 	}
 	for _, in := range cases {

@@ -12,13 +12,14 @@ import (
 // entry is one cached subgraph: its canonical identity, the frozen
 // ready-to-iterate chain (so repeat queries skip NewApproxChainCtx
 // entirely), and the converged results and search engines per rank
-// configuration. Entries loaded from the disk cache start with a nil
-// sub/chain — the scores alone answer repeat queries; the chain is
+// configuration. An entry holds nothing sized by the global graph: the
+// Subgraph index a chain is built from lives only on the miss path.
+// Entries loaded from the disk cache or stored by a batch start with a
+// nil chain — the scores alone answer repeat queries; the chain is
 // rebuilt only if a NEW configuration asks for an iteration.
 type entry struct {
 	hash    uint64
 	ids     []graph.NodeID // canonical: sorted ascending, distinct
-	sub     *graph.Subgraph
 	chain   *core.ExtendedChain
 	results map[string]*core.Result
 	engines map[string]*search.Engine

@@ -297,9 +297,8 @@ func (s *Server) compute(ids []graph.NodeID, h uint64, key string, cfg core.Conf
 	s.stats.InFlight++
 	hook := s.computeHook
 	var chain *core.ExtendedChain
-	var sub *graph.Subgraph
 	if e, ok := s.cache.get(h, ids); ok && e.chain != nil {
-		chain, sub = e.chain, e.sub
+		chain = e.chain
 		s.stats.ChainHits++
 	} else {
 		s.stats.Misses++
@@ -315,8 +314,9 @@ func (s *Server) compute(ids []graph.NodeID, h uint64, key string, cfg core.Conf
 	}
 
 	if chain == nil {
-		var err error
-		sub, err = graph.NewSubgraph(s.gctx.Graph(), ids)
+		// The Subgraph's O(N) index lives only on this miss path: the
+		// chain keeps the id list, not the index.
+		sub, err := graph.NewSubgraph(s.gctx.Graph(), ids)
 		if err != nil {
 			return nil, badRequest(err)
 		}
@@ -333,13 +333,13 @@ func (s *Server) compute(ids []graph.NodeID, h uint64, key string, cfg core.Conf
 	if err != nil {
 		return nil, err
 	}
-	s.storeResult(ids, h, key, sub, chain, res)
+	s.storeResult(ids, h, key, chain, res)
 	return res, nil
 }
 
 // storeResult caches a converged result (and the frozen chain behind it)
 // under the canonical identity, creating or refreshing the LRU entry.
-func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, sub *graph.Subgraph, chain *core.ExtendedChain, res *core.Result) {
+func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, chain *core.ExtendedChain, res *core.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.cache.get(h, ids)
@@ -353,7 +353,7 @@ func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, sub *grap
 		s.stats.Evictions += int64(s.cache.add(e))
 	}
 	if e.chain == nil {
-		e.chain, e.sub = chain, sub
+		e.chain = chain
 	}
 	e.results[key] = res
 }
@@ -364,41 +364,32 @@ func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, sub *grap
 func (s *Server) searchEngine(ids []graph.NodeID, key string, res *core.Result) (*search.Engine, error) {
 	h := hashIDs(ids)
 	s.mu.Lock()
-	e, ok := s.cache.get(h, ids)
 	var eng *search.Engine
-	var sub *graph.Subgraph
-	if ok {
+	if e, ok := s.cache.get(h, ids); ok {
 		eng = e.engines[key]
-		sub = e.sub
 	}
 	s.mu.Unlock()
 	if eng != nil {
 		return eng, nil
 	}
-	if sub == nil {
-		// Disk-warm entry (or evicted between rank and search): rebuild
-		// the subgraph shell; the scores themselves stay cached.
-		var err error
-		sub, err = graph.NewSubgraph(s.gctx.Graph(), ids)
-		if err != nil {
-			return nil, badRequest(err)
-		}
+	// Entries keep no Subgraph, so an engine miss builds a transient
+	// one; the engine keeps only its id list.
+	sub, err := graph.NewSubgraph(s.gctx.Graph(), ids)
+	if err != nil {
+		return nil, badRequest(err)
 	}
 	localTerms := make([][]uint32, sub.N())
 	for li, gid := range sub.Local {
 		localTerms[li] = s.terms[gid]
 	}
-	eng, err := search.NewEngine(sub, localTerms, res.Scores)
+	eng, err = search.NewEngine(sub, localTerms, res.Scores)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	s.stats.EnginesBuilt++
-	if e2, ok2 := s.cache.get(h, ids); ok2 {
-		if e2.sub == nil {
-			e2.sub = sub
-		}
-		e2.engines[key] = eng
+	if e, ok := s.cache.get(h, ids); ok {
+		e.engines[key] = eng
 	}
 	s.mu.Unlock()
 	return eng, nil
@@ -459,7 +450,7 @@ func (s *Server) rankBatch(items [][]uint32, cfg core.Config) ([]*core.Result, [
 			results[i] = res
 			// Batch survivors warm the same cache the single-query path
 			// reads, chains excluded (RankManyCtx owns and discards them).
-			s.storeResult(idLists[i], hashIDs(idLists[i]), key, subs[bi], nil, res)
+			s.storeResult(idLists[i], hashIDs(idLists[i]), key, nil, res)
 		}
 		for bi := range partial {
 			if partial[bi] == nil && errs[backMap[bi]] == nil {
