@@ -118,8 +118,8 @@ func MustFromEdges(numNodes int, edges [][2]NodeID) *Graph {
 	return graph.MustFromEdges(numNodes, edges)
 }
 
-// LoadGraph reads a graph from disk (text edge list for .txt/.edges,
-// binary otherwise).
+// LoadGraph reads a graph from disk, text edge list or v2 binary, telling
+// them apart by the file's content, not its name.
 func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
 
 // SaveGraph writes a graph to disk in the format implied by the extension.

@@ -47,7 +47,7 @@ func runIn(t *testing.T, bin, dir string, args ...string) (string, string, int) 
 
 // diagLine is the documented diagnostic format:
 // file:line:col: checker: message
-var diagLine = regexp.MustCompile(`^[^:]+\.go:\d+:\d+: (floatcmp|gocapture|normreturn|tolerances|panicfree|errflow|lockbalance|maprange|hotalloc|wgbalance|chanleak|ctxflow|hotpure|racecheck|lockorder|spawnloop|falseshare): .+$`)
+var diagLine = regexp.MustCompile(`^[^:]+\.go:\d+:\d+: (floatcmp|gocapture|normreturn|tolerances|panicfree|errflow|lockbalance|maprange|hotalloc|wgbalance|chanleak|ctxflow|hotpure): .+$`)
 
 // allCheckers mirrors analysis.All; the e2e tests assert the driver
 // exposes exactly this suite.
@@ -55,7 +55,6 @@ var allCheckers = []string{
 	"floatcmp", "gocapture", "normreturn", "tolerances", "panicfree",
 	"errflow", "lockbalance", "maprange", "hotalloc",
 	"wgbalance", "chanleak", "ctxflow", "hotpure",
-	"racecheck", "lockorder", "spawnloop", "falseshare",
 }
 
 func TestDirtyModule(t *testing.T) {
@@ -102,6 +101,9 @@ func TestListFlag(t *testing.T) {
 	stdout, _, code := runIn(t, bin, ".", "-list")
 	if code != 0 {
 		t.Fatalf("arlint -list exit code = %d, want 0", code)
+	}
+	if lines := strings.Split(strings.TrimRight(stdout, "\n"), "\n"); len(lines) != len(allCheckers) {
+		t.Errorf("-list printed %d checkers, want %d:\n%s", len(lines), len(allCheckers), stdout)
 	}
 	for _, checker := range allCheckers {
 		if !strings.Contains(stdout, checker) {
@@ -175,75 +177,6 @@ func TestStaleBaselineReport(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "stale baseline entry") || !strings.Contains(stderr, "gone.go") {
 		t.Errorf("stderr does not report the stale entry: %q", stderr)
-	}
-}
-
-// TestConcurrencyCheckers drives racecheck and lockorder end to end
-// over a module with a seeded data race and an ABBA lock cycle, and
-// checks the -checkers selection keeps every other checker quiet.
-func TestConcurrencyCheckers(t *testing.T) {
-	bin := buildArlint(t)
-	stdout, stderr, code := runIn(t, bin, filepath.Join("testdata", "racemod"), "-checkers=racecheck,lockorder")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, ": racecheck: ") {
-		t.Errorf("no racecheck finding for the unguarded counter:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, ": lockorder: ") {
-		t.Errorf("no lockorder finding for the ABBA cycle:\n%s", stdout)
-	}
-	for _, line := range strings.Split(strings.TrimRight(stdout, "\n"), "\n") {
-		if !strings.Contains(line, ": racecheck: ") && !strings.Contains(line, ": lockorder: ") {
-			t.Errorf("-checkers=racecheck,lockorder leaked another checker's finding: %q", line)
-		}
-	}
-}
-
-// TestParallelPerfCheckers drives spawnloop and falseshare end to end
-// over a module whose convergence loop respawns its workers each
-// iteration and parks their deltas in adjacent slots.
-func TestParallelPerfCheckers(t *testing.T) {
-	bin := buildArlint(t)
-	stdout, stderr, code := runIn(t, bin, filepath.Join("testdata", "churnmod"), "-checkers=spawnloop,falseshare")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, ": spawnloop: ") || !strings.Contains(stdout, "persistent round-barriered worker pool") {
-		t.Errorf("no spawnloop finding for the per-iteration respawn:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, ": falseshare: ") || !strings.Contains(stdout, "share a cache line") {
-		t.Errorf("no falseshare finding for the adjacent delta slots:\n%s", stdout)
-	}
-	for _, line := range strings.Split(strings.TrimRight(stdout, "\n"), "\n") {
-		if !strings.Contains(line, ": spawnloop: ") && !strings.Contains(line, ": falseshare: ") {
-			t.Errorf("-checkers=spawnloop,falseshare leaked another checker's finding: %q", line)
-		}
-	}
-}
-
-// TestCostReport exercises -report=cost: the convergence engine tops
-// the ranking, the entry count honors -top, and unknown modes fail.
-func TestCostReport(t *testing.T) {
-	bin := buildArlint(t)
-	dir := filepath.Join("testdata", "churnmod")
-
-	stdout, stderr, code := runIn(t, bin, dir, "-report=cost", "-top=1")
-	if code != 0 {
-		t.Fatalf("-report=cost exit = %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "cost report: top 1 of 1 functions") {
-		t.Errorf("report header does not honor -top:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "churnmod.Iterate") || !strings.Contains(stdout, "unbounded-loop") {
-		t.Errorf("report does not rank the convergence engine as unbounded:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "spawn=") {
-		t.Errorf("report is missing the site weights:\n%s", stdout)
-	}
-
-	if _, stderr, code := runIn(t, bin, dir, "-report=nosuch"); code != 2 || !strings.Contains(stderr, "unknown report mode") {
-		t.Errorf("-report=nosuch: exit %d stderr %q, want 2 with an unknown-mode error", code, stderr)
 	}
 }
 

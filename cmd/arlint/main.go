@@ -31,11 +31,6 @@
 //	-callgraph=dot        print the interprocedural call graph (with the
 //	                      per-function effect summaries in the labels) as
 //	                      Graphviz dot instead of running the checkers
-//	-report=cost          print the top -top functions by modeled static
-//	                      cost (loop depth × site weights, callees
-//	                      inlined) with their heaviest call paths, instead
-//	                      of running the checkers
-//	-top N                entry count for -report=cost (default 20)
 //
 // `-list` prints the suite — one checker per line with its enabled
 // state under the current -checkers/-disable selection and whether it
@@ -68,8 +63,6 @@ func main() {
 		writeBaseline = flag.String("write-baseline", "", "record current findings to this file and exit")
 		fix           = flag.Bool("fix", false, "apply suggested fixes, then report remaining findings")
 		callgraph     = flag.String("callgraph", "", "debug output: 'dot' prints the call graph with summaries and exits")
-		report        = flag.String("report", "", "report mode: 'cost' prints the most expensive functions by the static cost model and exits")
-		topN          = flag.Int("top", 20, "entry count for -report=cost")
 	)
 	flag.Parse()
 	suite, err := selectCheckers(*checkers, *disable)
@@ -102,19 +95,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *callgraph == "dot" {
-		os.Exit(withGraph(flag.Args(), func(g *analysis.CallGraph, sums *analysis.Summaries) error {
-			return g.WriteDot(os.Stdout, sums)
-		}))
-	}
-	switch *report {
-	case "":
-	case "cost":
-		os.Exit(withGraph(flag.Args(), func(g *analysis.CallGraph, sums *analysis.Summaries) error {
-			return g.WriteCostReport(os.Stdout, sums, *topN)
-		}))
-	default:
-		fmt.Fprintf(os.Stderr, "arlint: unknown report mode %q (want cost)\n", *report)
-		os.Exit(2)
+		os.Exit(writeDot(flag.Args()))
 	}
 	switch *format {
 	case "text", "json", "sarif":
@@ -297,10 +278,10 @@ func analyze(root, cwd string, patterns []string, suite []*analysis.Analyzer) ([
 	return analysis.Run(selected, suite), len(selected), 0
 }
 
-// withGraph loads the selected packages, builds the call graph and
-// summaries exactly as Run would, and hands them to render — the shared
-// driver for the non-checking modes (-callgraph=dot, -report=cost).
-func withGraph(patterns []string, render func(*analysis.CallGraph, *analysis.Summaries) error) int {
+// writeDot loads the selected packages, builds the call graph and
+// summaries exactly as Run would, and prints them as Graphviz dot
+// (-callgraph=dot).
+func writeDot(patterns []string) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arlint:", err)
@@ -324,7 +305,7 @@ func withGraph(patterns []string, render func(*analysis.CallGraph, *analysis.Sum
 	}
 	graph := analysis.BuildCallGraph(selected)
 	sums := analysis.ComputeSummaries(graph)
-	if err := render(graph, sums); err != nil {
+	if err := graph.WriteDot(os.Stdout, sums); err != nil {
 		fmt.Fprintln(os.Stderr, "arlint:", err)
 		return 2
 	}

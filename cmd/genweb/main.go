@@ -7,11 +7,10 @@
 //	       [-mean-outdeg M] [-dangling F] [-seed S] [-labels labels.txt]
 //
 // The output format is chosen by extension: .txt/.edges for the text edge
-// list, .v1 for the compact varint binary, anything else for the
-// zero-copy v2 binary. Generation streams rows straight into the CSR
-// (RowBuilder) and v2 writes stream the CSR arrays verbatim, so the
-// peak memory of generating a crawl-scale graph is roughly the graph
-// itself.
+// list, anything else for the zero-copy v2 binary. Generation streams
+// rows straight into the CSR (RowBuilder) and v2 writes stream the CSR
+// arrays verbatim, so the peak memory of generating a crawl-scale graph
+// is roughly the graph itself.
 package main
 
 import (

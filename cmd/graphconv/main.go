@@ -1,13 +1,13 @@
 // Command graphconv converts graph files between the supported on-disk
-// formats — text edge list, compact v1 binary, and the zero-copy v2
-// binary — detecting the input format by magic bytes, never by name.
+// formats — text edge list and the zero-copy v2 binary — detecting the
+// input format by magic bytes, never by name.
 //
 // Usage:
 //
-//	graphconv -in old.bin -out new.v2 [-format auto|v2|v1|text]
+//	graphconv -in old.txt -out new.v2 [-format auto|v2|text]
 //
 // The default -format auto chooses by the output extension the same way
-// SaveFile does (.txt/.edges → text, .v1 → v1, else v2). Conversion is
+// SaveFile does (.txt/.edges → text, else v2). Conversion is
 // single-copy: the input is decoded into one in-memory CSR and the
 // output streamed from those same arrays (the v2 writer in particular
 // writes the slice memory verbatim), so converting an N-byte graph
@@ -17,20 +17,32 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/graph"
 )
 
+// writers maps each explicit -format to its encoder; auto defers to
+// graph.SaveFile's extension rule.
+var writers = map[string]func(io.Writer, *graph.Graph) error{
+	"v2":   graph.WriteBinaryV2,
+	"text": graph.WriteEdgeList,
+}
+
 func main() {
 	in := flag.String("in", "", "input graph file (required; format sniffed from magic bytes)")
 	out := flag.String("out", "", "output graph file (required)")
-	format := flag.String("format", "auto", "output format: auto, v2, v1, or text")
+	format := flag.String("format", "auto", "output format: auto, v2, or text")
 	flag.Parse()
 	if *in == "" || *out == "" {
 		fmt.Fprintln(os.Stderr, "graphconv: -in and -out are required")
 		flag.Usage()
+		os.Exit(2)
+	}
+	if _, ok := writers[*format]; !ok && *format != "auto" {
+		fmt.Fprintf(os.Stderr, "graphconv: unknown format %q (want auto, v2, or text)\n", *format)
 		os.Exit(2)
 	}
 
@@ -56,7 +68,8 @@ func main() {
 }
 
 func save(path, format string, g *graph.Graph) error {
-	if format == "auto" {
+	write, ok := writers[format]
+	if !ok {
 		return graph.SaveFile(path, g)
 	}
 	f, err := os.Create(path)
@@ -64,17 +77,7 @@ func save(path, format string, g *graph.Graph) error {
 		return err
 	}
 	defer f.Close()
-	switch format {
-	case "v2":
-		err = graph.WriteBinaryV2(f, g)
-	case "v1":
-		err = graph.WriteBinary(f, g)
-	case "text":
-		err = graph.WriteEdgeList(f, g)
-	default:
-		return fmt.Errorf("graphconv: unknown format %q", format)
-	}
-	if err != nil {
+	if err := write(f, g); err != nil {
 		return err
 	}
 	return f.Close()

@@ -8,17 +8,17 @@
 //	rankd -graph web.bin [-addr :8080] [flags]
 //	rankd -synthetic 100000 [-seed 1] [-addr :8080] [flags]
 //
-// -graph loads a graph file (text, v1, or v2 binary — detected by
-// content, not name); a v2 file is memory-mapped by default, so startup
-// cost and resident heap are independent of graph size (disable with
-// -mmap=false). -synthetic generates an N-page web in-process instead,
-// with term bags assigned so /v1/search works out of the box. Capacity
-// knobs:
+// -graph loads a graph file (text or v2 binary — detected by content,
+// not name; a file in the retired v1 binary format is an error). A v2
+// file is memory-mapped by default, so startup cost and resident heap
+// are independent of graph size (disable with -mmap=false). -synthetic
+// generates an N-page web in-process instead, with term bags assigned
+// so /v1/search works out of the box. Capacity knobs:
 //
 //	-cache-entries N   LRU capacity in subgraphs; each entry pins its frozen
-//	                   chain, its scores and an N/8 + N/16 + 4n-byte
-//	                   subgraph index (~0.5 MiB for a 2.5k-page crawl of
-//	                   a 1.9M-page web, so the default 1024 is ~0.5 GB)
+//	                   chain and its scores, nothing sized by the global
+//	                   graph (~0.16 MiB for a 100–5,000-page crawl of a
+//	                   1.9M-page web, so the default 1024 is ~0.16 GB)
 //	-max-inflight N    concurrent computations admitted
 //	-max-queue N       requests allowed to wait for admission (429 beyond)
 //	-request-timeout D default per-request budget (503 when exceeded)

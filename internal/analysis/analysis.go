@@ -38,32 +38,11 @@
 //   - ctxflow:   a ctx-accepting function forwards its ctx to every
 //     ctx-accepting callee and spawns no cancellation-blind goroutines
 //
-// The fifth generation is the concurrency-safety layer: a lockset
-// dataflow (gen at Lock, kill at Unlock, intersection at joins, defer
-// Unlock held to exit) runs over every function's CFG, and the
-// summaries export each function's shared-state accesses — package
-// vars, pointer-crossing parameter/receiver paths, goroutine-captured
-// locals — tagged with the lockset held (lockset.go, lockfacts.go):
+// The fourth generation is the purity lattice (purity.go): every
+// summary carries a point Pure ⊏ Output ⊏ Impure, and
 //
-//   - racecheck: accesses to the same location from concurrently-live
-//     goroutines must share a lock or be joined (wg.Wait, completion
-//     channel) before the conflicting access
-//   - lockorder: the module-wide lock-acquisition-order graph must be
-//     acyclic — no double-lock, no ABBA
-//
-// The sixth generation is the performance layer: a static cost model
-// (cost.go) assigns every function a point in a cost lattice —
-// loop-nesting depth with trip classes, plus weighted allocation,
-// dynamic-dispatch and goroutine-spawn sites — propagated bottom-up
-// through the devirtualized call graph. It powers the driver's
-// -report=cost mode, annotates the -callgraph=dot labels, and feeds
-// two parallel-performance checkers:
-//
-//   - spawnloop:  no goroutine spawn + WaitGroup join per iteration of
-//     a high-trip loop — hoist the workers into a persistent
-//     round-barriered pool
-//   - falseshare: sibling goroutines must not write adjacent elements
-//     of one backing array — pad per-worker slots to a cache line
+//   - hotpure: //arlint:hot kernels must be transitively pure,
+//     allocation-free, and free of dynamic calls in loops
 //
 // A finding can be suppressed with a sentinel comment on the offending
 // line or the line above:
@@ -139,8 +118,6 @@ var All = []*Analyzer{
 	FloatCmp, GoCapture, NormReturn, Tolerances, PanicFree,
 	ErrFlow, LockBalance, MapRange, HotAlloc,
 	WgBalance, ChanLeak, CtxFlow, HotPure,
-	RaceCheck, LockOrder,
-	SpawnLoop, FalseShare,
 }
 
 // Pass carries one analyzed package to one checker, together with the

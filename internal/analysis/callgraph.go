@@ -421,61 +421,8 @@ func (cg *CallGraph) WriteDot(w io.Writer, sums *Summaries) error {
 			}
 		}
 	}
-	if sums != nil {
-		cg.writeDotSharedLocations(w, sums)
-	}
 	_, err := fmt.Fprintln(w, "}")
 	return err
-}
-
-// writeDotSharedLocations renders the concurrency layer into the
-// drawing: module-visible shared locations (global-rooted accesses in
-// the summaries) as filled boxes, and one dotted edge per distinct
-// (function, location, kind, lockset) access, labeled "R"/"W" plus the
-// guarding lockset and a "go" marker for accesses made on a spawned
-// goroutine — so a location with two unlabeled "W go" edges is a race
-// you can see.
-func (cg *CallGraph) writeDotSharedLocations(w io.Writer, sums *Summaries) {
-	locID := make(map[string]string)
-	nextLoc := 0
-	seenEdge := make(map[string]bool)
-	for i, n := range cg.Nodes {
-		s := sums.Of(n.Func)
-		if s == nil {
-			continue
-		}
-		for _, acc := range s.Accesses {
-			if acc.Loc.Kind != locGlobal {
-				continue
-			}
-			key := acc.Loc.key()
-			lid, ok := locID[key]
-			if !ok {
-				lid = fmt.Sprintf("loc%d", nextLoc)
-				nextLoc++
-				locID[key] = lid
-				label := strings.ReplaceAll(acc.Loc.Name, `"`, `\"`)
-				fmt.Fprintf(w, "  %s [label=\"%s\", shape=box, style=filled, fillcolor=lightyellow];\n", lid, label)
-			}
-			label := "R"
-			if acc.Write {
-				label = "W"
-			}
-			if len(acc.Locks) > 0 {
-				label += " " + lockSetName(acc.Locks)
-			}
-			if acc.Concurrent {
-				label += " go"
-			}
-			ek := fmt.Sprintf("n%d->%s:%s", i, lid, label)
-			if seenEdge[ek] {
-				continue
-			}
-			seenEdge[ek] = true
-			label = strings.ReplaceAll(label, `"`, `\"`)
-			fmt.Fprintf(w, "  n%d -> %s [style=dotted, label=\"%s\", fontsize=9];\n", i, lid, label)
-		}
-	}
 }
 
 // bits renders a summary's non-trivial flags for the dot label.
@@ -506,15 +453,6 @@ func (s *Summary) bits() string {
 	if s.SpawnsGoroutine {
 		out = append(out, "spawn")
 	}
-	if s.WaitsOnWG {
-		out = append(out, "waits")
-	}
-	if s.SpawnChurn {
-		out = append(out, "spawn-churn")
-	}
-	if cl := s.Cost.label(); cl != "" {
-		out = append(out, cl)
-	}
 	for i, d := range s.DonesParams {
 		if d {
 			out = append(out, fmt.Sprintf("done(p%d)", i))
@@ -532,18 +470,6 @@ func (s *Summary) bits() string {
 	}
 	if s.CtxParam >= 0 {
 		out = append(out, fmt.Sprintf("ctx(p%d)", s.CtxParam))
-	}
-	if s.AcquiresLock {
-		out = append(out, "lock+")
-	}
-	if s.ReleasesLock {
-		out = append(out, "lock-")
-	}
-	if len(s.Accesses) > 0 {
-		out = append(out, fmt.Sprintf("shared(%d)", len(s.Accesses)))
-	}
-	if len(s.AcquiredLocks) > 0 {
-		out = append(out, fmt.Sprintf("acquires(%d)", len(s.AcquiredLocks)))
 	}
 	return strings.Join(out, ",")
 }

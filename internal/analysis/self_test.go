@@ -4,12 +4,6 @@ import (
 	"testing"
 )
 
-// TestRepositoryInvariants is the meta-test: it loads every package in
-// this module and runs the full checker suite, so `go test ./...`
-// enforces the repository's numeric, concurrency and API invariants on
-// every change. A failure here means either real code regressed or a
-// new finding needs fixing (or, rarely, a documented //arlint:allow
-// sentinel).
 // TestSuiteComplete pins the size of the checker suite: a checker
 // accidentally dropped from All would silently stop being enforced by
 // the meta-test and the driver alike.
@@ -18,8 +12,6 @@ func TestSuiteComplete(t *testing.T) {
 		"floatcmp", "gocapture", "normreturn", "tolerances", "panicfree",
 		"errflow", "lockbalance", "maprange", "hotalloc",
 		"wgbalance", "chanleak", "ctxflow", "hotpure",
-		"racecheck", "lockorder",
-		"spawnloop", "falseshare",
 	}
 	if len(All) != len(want) {
 		t.Fatalf("len(All) = %d, want %d", len(All), len(want))
@@ -31,6 +23,12 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
+// TestRepositoryInvariants is the meta-test: it loads every package in
+// this module and runs the full checker suite, so `go test ./...`
+// enforces the repository's numeric, concurrency and API invariants on
+// every change. A failure here means either real code regressed or a
+// new finding needs fixing (or, rarely, a documented //arlint:allow
+// sentinel).
 func TestRepositoryInvariants(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {

@@ -29,8 +29,6 @@ import (
 //	CtxParam /      position of a context.Context parameter and whether
 //	ForwardsCtx     the function forwards it to every context-aware
 //	                callee — consumed by ctxflow
-//	AcquiresLock /  net lock effect: may exit holding a lock it
-//	ReleasesLock    acquired, or releases a lock it did not acquire
 //
 // The lattice is a product of booleans ordered false < true ("no known
 // effect" < "has the effect") for may-facts, and true > false for the
@@ -78,12 +76,6 @@ type Summary struct {
 	CtxParam    int
 	ForwardsCtx bool
 
-	// AcquiresLock: some path exits holding a lock acquired in the
-	// body. ReleasesLock: the body unlocks a mutex it did not lock
-	// (a handoff release on behalf of the caller).
-	AcquiresLock bool
-	ReleasesLock bool
-
 	// Variadic records whether the summarized function's last parameter
 	// is variadic — consulted by ParamIndex when mapping call arguments
 	// to the per-parameter effect slots above.
@@ -103,36 +95,6 @@ type Summary struct {
 	WritesParams  []bool
 	WritesRecv    bool
 	WritesEscaped bool
-
-	// Accesses are the shared-location reads and writes the function
-	// (and its callees) may perform — rooted at package-level vars and
-	// at pointer-crossing parameter/receiver paths — each tagged with
-	// the lockset held and whether it runs on an unjoined goroutine
-	// (lockset.go / lockfacts.go). Consumed by racecheck.
-	Accesses []SharedAccess
-	// AcquiredLocks lists the lock classes the function (or a callee,
-	// or a closure in it) may acquire; LockEdges are the held→acquired
-	// ordering edges observed. Consumed by lockorder's module-wide
-	// acquisition-order graph.
-	AcquiredLocks []LockSite
-	LockEdges     []LockEdge
-
-	// WaitsOnWG: the function (or a callee) blocks on a
-	// sync.WaitGroup's Wait — the join half of the spawn/join churn
-	// the spawnloop checker looks for inside high-trip loops.
-	WaitsOnWG bool
-	// SpawnChurn: one call performs an unamortized spawn+join unit —
-	// it starts goroutines and joins them with no rounds loop, job
-	// feed, or non-churny delegate in between (computeSpawnChurn,
-	// spawnloop.go). Calling such a function per iteration of a
-	// high-trip loop repeats the churn at the call site.
-	SpawnChurn bool
-
-	// Cost is the function's point in the static cost lattice
-	// (cost.go): loop-nesting depth with trip classes plus weighted
-	// allocation, dynamic-dispatch and goroutine-spawn sites, callees
-	// inlined at their call-site depth.
-	Cost Cost
 }
 
 // ParamIndex maps a call-argument position to the parameter slot it
@@ -160,11 +122,6 @@ type Summaries struct {
 	Graph *CallGraph
 
 	byFunc map[*types.Func]*Summary
-
-	// lockorder's module-wide findings, computed once per Run
-	// (lockorder.go) and reported by the pass owning each file.
-	lockChecked  bool
-	lockFindings []lockOrderFinding
 }
 
 // Of returns fn's summary, or nil when fn is not an analyzed declared
@@ -209,8 +166,7 @@ func (s *Summaries) CalleeSummaryDevirt(info *types.Info, call *ast.CallExpr) *S
 	if len(cands) == 0 {
 		return nil
 	}
-	out := joinSummaries(s, cands)
-	return out
+	return joinSummaries(s, cands)
 }
 
 // joinSummaries folds the candidates' summaries into one joined view:
@@ -232,9 +188,6 @@ func joinSummaries(s *Summaries, cands []*CGNode) *Summary {
 			cp.DrainsParams = append([]bool(nil), cs.DrainsParams...)
 			cp.DonesParams = append([]bool(nil), cs.DonesParams...)
 			cp.WritesParams = append([]bool(nil), cs.WritesParams...)
-			cp.Accesses = append([]SharedAccess(nil), cs.Accesses...)
-			cp.AcquiredLocks = append([]LockSite(nil), cs.AcquiredLocks...)
-			cp.LockEdges = append([]LockEdge(nil), cs.LockEdges...)
 			out = &cp
 			continue
 		}
@@ -254,11 +207,6 @@ func joinSummaries(s *Summaries, cands []*CGNode) *Summary {
 		orBools(out.WritesParams, cs.WritesParams)
 		andBools(out.DonesParams, cs.DonesParams)
 		out.SpawnsGoroutine = out.SpawnsGoroutine || cs.SpawnsGoroutine
-		out.WaitsOnWG = out.WaitsOnWG || cs.WaitsOnWG
-		out.SpawnChurn = out.SpawnChurn || cs.SpawnChurn
-		out.Cost = out.Cost.join(cs.Cost)
-		out.AcquiresLock = out.AcquiresLock || cs.AcquiresLock
-		out.ReleasesLock = out.ReleasesLock || cs.ReleasesLock
 		out.WritesRecv = out.WritesRecv || cs.WritesRecv
 		out.WritesEscaped = out.WritesEscaped || cs.WritesEscaped
 		out.ForwardsCtx = out.ForwardsCtx && cs.ForwardsCtx
@@ -266,9 +214,6 @@ func joinSummaries(s *Summaries, cands []*CGNode) *Summary {
 			out.Purity = cs.Purity
 			out.PurityCause = cs.PurityCause
 		}
-		out.Accesses = unionAccesses(out.Accesses, cs.Accesses)
-		out.AcquiredLocks = unionSites(out.AcquiredLocks, cs.AcquiredLocks)
-		out.LockEdges = unionEdges(out.LockEdges, cs.LockEdges)
 	}
 	return out
 }
@@ -325,9 +270,6 @@ func ComputeSummaries(cg *CallGraph) *Summaries {
 			}
 		}
 	}
-	// SpawnChurn has negative dependencies on the facts above, so it
-	// runs as a single bottom-up post-pass over the converged lattice.
-	computeSpawnChurn(sums)
 	return sums
 }
 
@@ -350,10 +292,7 @@ func summarizeNode(sums *Summaries, n *CGNode) bool {
 	summarizeAlloc(sums, n, s)
 	summarizeTaint(sums, n, s)
 	summarizeConcurrency(sums, n, s)
-	summarizeLocks(n, s)
 	summarizePurity(sums, n, s)
-	summarizeAccesses(sums, n, s)
-	summarizeCost(sums, n, s)
 
 	// Context forwarding: every context-accepting call receives the
 	// function's own (or a derived) context.
@@ -376,16 +315,8 @@ func summarizeNode(sums *Summaries, n *CGNode) bool {
 
 	if old.DropsError != s.DropsError || old.Allocates != s.Allocates ||
 		old.SpawnsGoroutine != s.SpawnsGoroutine || old.ForwardsCtx != s.ForwardsCtx ||
-		old.AcquiresLock != s.AcquiresLock || old.ReleasesLock != s.ReleasesLock ||
 		old.Purity != s.Purity || old.WritesRecv != s.WritesRecv ||
-		old.WritesEscaped != s.WritesEscaped ||
-		old.WaitsOnWG != s.WaitsOnWG || old.Cost != s.Cost {
-		return true
-	}
-	// The concurrency-fact slices are rebuilt from scratch each pass and
-	// dedup-capped, so length comparison is an exact ascension test.
-	if len(old.Accesses) != len(s.Accesses) || len(old.AcquiredLocks) != len(s.AcquiredLocks) ||
-		len(old.LockEdges) != len(s.LockEdges) {
+		old.WritesEscaped != s.WritesEscaped {
 		return true
 	}
 	return !boolsEqual(oldTaint, s.TaintedResults) || !boolsEqual(oldDones, s.DonesParams) ||
@@ -412,18 +343,6 @@ func paramObj(n *CGNode, i int) types.Object {
 		return nil
 	}
 	return sig.Params().At(i)
-}
-
-// paramIndexOf returns the parameter position of obj in n's signature,
-// or -1.
-func paramIndexOf(n *CGNode, obj types.Object) int {
-	sig := n.Func.Type().(*types.Signature)
-	for i := 0; i < sig.Params().Len(); i++ {
-		if sig.Params().At(i) == obj {
-			return i
-		}
-	}
-	return -1
 }
 
 // summarizeErrorDrop detects the check-and-discard pattern: an error
@@ -683,10 +602,6 @@ func summarizeConcurrency(sums *Summaries, n *CGNode, s *Summary) {
 				}
 				return true
 			}
-			if isWGWaitCall(info, m) {
-				s.WaitsOnWG = true
-				return true
-			}
 			// Forwarded effects: passing a parameter to a callee that
 			// sends/closes/drains its corresponding parameter (through
 			// the candidate join at interface call sites).
@@ -696,9 +611,6 @@ func summarizeConcurrency(sums *Summaries, n *CGNode, s *Summary) {
 			}
 			if cs.SpawnsGoroutine {
 				s.SpawnsGoroutine = true
-			}
-			if cs.WaitsOnWG {
-				s.WaitsOnWG = true
 			}
 			for ai, arg := range m.Args {
 				pi := cs.ParamIndex(ai)
@@ -832,115 +744,6 @@ func usesObjectExpr(info *types.Info, expr ast.Expr, obj types.Object) bool {
 	return usesObject(info, expr, obj, nil)
 }
 
-// summarizeLocks records the function's net lock effect by running the
-// lockbalance fact flow: AcquiresLock when some path exits holding a
-// lock acquired in the body (ignoring deferred releases would be wrong,
-// so they are applied), ReleasesLock when the body unlocks a mutex it
-// has not locked on that path.
-func summarizeLocks(n *CGNode, s *Summary) {
-	if s.AcquiresLock && s.ReleasesLock {
-		return
-	}
-	info := n.Pkg.Info
-	g := BuildCFG(n.Decl.Body)
-
-	deferred := make(map[string]bool)
-	for _, d := range g.Defers {
-		if op, key := classifyLockCall(info, d.Call); op == opUnlock {
-			deferred["w "+key] = true
-		} else if op == opRUnlock {
-			deferred["r "+key] = true
-		}
-	}
-
-	transfer := func(b *Block, in lockFact) lockFact {
-		out := in
-		cloned := false
-		clone := func() {
-			if !cloned {
-				c := make(lockFact, len(out)+1)
-				for k, v := range out {
-					c[k] = v
-				}
-				out = c
-				cloned = true
-			}
-		}
-		for _, node := range b.Nodes {
-			if _, isDefer := node.(*ast.DeferStmt); isDefer {
-				continue
-			}
-			for _, call := range callsIn(node) {
-				op, key := classifyLockCall(info, call)
-				switch op {
-				case opLock, opRLock:
-					k := "w "
-					if op == opRLock {
-						k = "r "
-					}
-					clone()
-					out[k+key] = call.Pos()
-				case opUnlock, opRUnlock:
-					k := "w "
-					if op == opRUnlock {
-						k = "r "
-					}
-					if _, held := out[k+key]; !held && !deferred[k+key] {
-						s.ReleasesLock = true
-					}
-					clone()
-					delete(out, k+key)
-				}
-			}
-		}
-		return out
-	}
-	res := Solve(g, FlowProblem[lockFact]{
-		Entry:    lockFact{},
-		Transfer: transfer,
-		Join:     func(a, b lockFact) lockFact { return joinPosMap(a, b) },
-		Equal:    func(a, b lockFact) bool { return equalPosMap(a, b) },
-	})
-	if res.Reached[g.Exit.Index] {
-		for key := range res.In[g.Exit.Index] {
-			if !deferred[key] {
-				s.AcquiresLock = true
-			}
-		}
-	}
-}
-
-// joinPosMap / equalPosMap are the union join and equality shared by the
-// map-shaped facts of this package.
-func joinPosMap[K comparable](a, b map[K]token.Pos) map[K]token.Pos {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make(map[K]token.Pos, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-func equalPosMap[K comparable](a, b map[K]token.Pos) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
-
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool {
 	named, ok := t.(*types.Named)
@@ -953,28 +756,6 @@ func isContextType(t types.Type) bool {
 
 // isWaitGroupType reports whether t is sync.WaitGroup or
 // *sync.WaitGroup.
-// isWGWaitCall reports a call of sync.WaitGroup.Wait through any
-// receiver expression — unlike wgMethodCall it accepts field receivers
-// (`sp.wg.Wait()`), because the WaitsOnWG summary fact only records
-// that the function blocks on some WaitGroup, not which one.
-func isWGWaitCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Wait" {
-		return false
-	}
-	obj := types.Object(nil)
-	if s, ok := info.Selections[sel]; ok {
-		obj = s.Obj()
-	} else {
-		obj = info.Uses[sel.Sel]
-	}
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	t := info.TypeOf(sel.X)
-	return t != nil && isWaitGroupType(t)
-}
-
 func isWaitGroupType(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()

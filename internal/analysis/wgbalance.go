@@ -258,7 +258,6 @@ func isIntLitOne(args []ast.Expr) bool {
 type wgUse struct {
 	obj     types.Object
 	expr    string // rendered receiver for diagnostics
-	addPos  []ast.Expr
 	adds    []*ast.CallExpr
 	escaped bool
 	// goroutines referencing the WaitGroup, with whether their body

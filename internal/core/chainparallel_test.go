@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -172,5 +173,70 @@ func TestRankManyAllocBudget(t *testing.T) {
 	if budget := float64(perChainBudget * len(parts)); avg > budget {
 		t.Errorf("RankMany allocated %.1f times per batch, budget %.0f (%d chains × %d)",
 			avg, budget, len(parts), perChainBudget)
+	}
+}
+
+// runMallocs warms run with one call, then returns the fewest heap
+// allocations over three more calls (a GC may empty the kernel's
+// buffer pools between calls) and the iterations the last call ran.
+func runMallocs(run func() int) (mallocs uint64, iters int) {
+	run()
+	mallocs = math.MaxUint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		iters = run()
+		runtime.ReadMemStats(&after)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+	}
+	return mallocs, iters
+}
+
+// TestChainParallelAllocsFlat: runParallel spawns its worker pool once
+// per run, so a run's allocations do not grow with its iteration
+// count. Respawning the workers every round would allocate every
+// round. The mallocs are read from runtime.MemStats at GOMAXPROCS 2:
+// testing.AllocsPerRun pins GOMAXPROCS to 1, where the pool has one
+// part and spawns nothing.
+func TestChainParallelAllocsFlat(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	// A bidirectional ring with one chord, ranked over its first
+	// quarter: the local path mixes slowly, so at damping 0.99 the delta
+	// stays far from zero for hundreds of rounds.
+	const n = 4000
+	edges := make([][2]graph.NodeID, 0, 2*n+1)
+	for u := 0; u < n; u++ {
+		edges = append(edges, [2]graph.NodeID{graph.NodeID(u), graph.NodeID((u + 1) % n)},
+			[2]graph.NodeID{graph.NodeID(u), graph.NodeID((u + n - 1) % n)})
+	}
+	edges = append(edges, [2]graph.NodeID{0, n / 2})
+	local := make([]graph.NodeID, n/4)
+	for i := range local {
+		local[i] = graph.NodeID(i)
+	}
+	sub, err := graph.NewSubgraph(graph.MustFromEdges(n, edges), local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := mustChain(t, sub)
+	run := func(maxIter int) func() int {
+		return func() int {
+			cfg := Config{Parallelism: 2, Epsilon: 0.99, Tolerance: math.SmallestNonzeroFloat64, MaxIterations: maxIter}
+			res, err := chain.RunCtx(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Iterations
+		}
+	}
+	shortM, shortIt := runMallocs(run(10))
+	longM, longIt := runMallocs(run(210))
+	if longIt-shortIt < 100 {
+		t.Fatalf("long run stopped after %d iterations, short after %d: too few to measure", longIt, shortIt)
+	}
+	t.Logf("mallocs %d → %d over %d → %d iterations", shortM, longM, shortIt, longIt)
+	if grew := int64(longM) - int64(shortM); grew*10 >= int64(longIt-shortIt) {
+		t.Errorf("mallocs grew %d → %d over %d → %d iterations: the parallel loop allocates per round",
+			shortM, longM, shortIt, longIt)
 	}
 }

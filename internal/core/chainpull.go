@@ -95,13 +95,13 @@ func (c *ExtendedChain) buildPull() *kernel.CSR {
 // power iteration over the chain's cached pull CSR, with a persistent
 // kernel.SweepPool of workers each owning a disjoint
 // edge-count-balanced range of target states. The team is spawned once
-// before the convergence loop and reused every round (per-round
-// spawn/join was the arlint spawnloop finding), with its partial
-// deltas in cache-line-padded pool slots rather than adjacent elements
-// of a shared array (the falseshare finding). Workers read the
-// immutable cur and write only their own slice of next, so there is no
-// reduction pass and the iterate is bit-identical across worker
-// counts; it differs from the sequential push sweep only by
+// before the convergence loop and reused every round, so no round pays
+// for spawning and joining workers, and its partial deltas sit in
+// cache-line-padded pool slots (one line per worker) rather than
+// adjacent elements of a shared array that every worker writes.
+// Workers read the immutable cur and write only their own slice of
+// next, so there is no reduction pass and the iterate is bit-identical
+// across worker counts; it differs from the sequential push sweep only by
 // floating-point reassociation of each state's in-row. pvec doubles as
 // the dangling redistribution vector — the collapsed chain
 // redistributes dangling mass along the personalization vector by

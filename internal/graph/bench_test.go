@@ -6,15 +6,15 @@ package graph_test
 //
 // The corpus is a synthetic web (gen.Generate) written once per scale
 // and shared by every benchmark in the run. The default scale is ~1M
-// edges — big enough that the v1-vs-v2 load gap and the O(1) mmap
-// footprint are unambiguous, small enough for CI. Crawl scale (10M and
+// edges — big enough that the O(1) mmap footprint is unambiguous,
+// small enough for CI. Crawl scale (10M and
 // 50M edges) is gated behind GRAPH_BENCH_CRAWL=1: at 50M edges the
 // corpus alone is ~600 MB of CSR.
 //
 // The headline numbers these exist to pin:
 //
-//   - LoadV2 is ≥5× faster than LoadV1 at the same edge count (varint
-//     decode + in-CSR rebuild vs straight io.ReadFull into the arrays);
+//   - LoadV2 is straight io.ReadFull into the arrays: no per-edge
+//     decode, no in-CSR rebuild;
 //   - MmapV2 allocs/op and B/op are small constants independent of
 //     graph size (the payload stays in the page cache; only the Graph
 //     header and section bookkeeping touch the heap);
@@ -47,13 +47,12 @@ func benchScales() []benchScale {
 	return s
 }
 
-// corpus is one generated graph with its on-disk renditions, built
+// corpus is one generated graph with its v2 rendition on disk, built
 // lazily and shared across benchmarks (the 50M corpus takes real time
 // to generate; paying it once per `go test -bench` run is enough).
 type corpus struct {
 	g      *graph.Graph
-	v1, v2 string
-	v1Size int64
+	v2     string
 	v2Size int64
 }
 
@@ -82,27 +81,15 @@ func corpusFor(b *testing.B, pages int) *corpus {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := &corpus{
-		g:  ds.Graph,
-		v1: filepath.Join(corpora.dir, fmt.Sprintf("%d.v1", pages)),
-		v2: filepath.Join(corpora.dir, fmt.Sprintf("%d.v2", pages)),
-	}
-	if err := graph.SaveFile(c.v1, c.g); err != nil {
-		b.Fatal(err)
-	}
+	c := &corpus{g: ds.Graph, v2: filepath.Join(corpora.dir, fmt.Sprintf("%d.v2", pages))}
 	if err := graph.SaveFile(c.v2, c.g); err != nil {
 		b.Fatal(err)
 	}
-	for _, p := range []struct {
-		path string
-		size *int64
-	}{{c.v1, &c.v1Size}, {c.v2, &c.v2Size}} {
-		st, err := os.Stat(p.path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		*p.size = st.Size()
+	st, err := os.Stat(c.v2)
+	if err != nil {
+		b.Fatal(err)
 	}
+	c.v2Size = st.Size()
 	corpora.byPages[pages] = c
 	return c
 }
@@ -126,20 +113,6 @@ func forEachScale(b *testing.B, fn func(b *testing.B, c *corpus)) {
 }
 
 var sinkGraph *graph.Graph
-
-func BenchmarkLoadV1(b *testing.B) {
-	forEachScale(b, func(b *testing.B, c *corpus) {
-		b.SetBytes(c.v1Size)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g, err := graph.LoadFile(c.v1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sinkGraph = g
-		}
-	})
-}
 
 func BenchmarkLoadV2(b *testing.B) {
 	forEachScale(b, func(b *testing.B, c *corpus) {

@@ -6,11 +6,11 @@ import (
 )
 
 // Parallel in-CSR build. Deriving the in-adjacency from a finished
-// out-CSR is the dominant cost of loading a v1 file or a v2 file whose
-// writer omitted the in-sections, so it runs as a partitioned counting
-// sort over a resident worker team (the kernel.SweepPool shape: spawn
-// once, broadcast rounds over buffered channels, caller works as
-// worker 0):
+// out-CSR is the dominant cost of loading a v2 file whose writer
+// omitted the in-sections, and part of every Builder.Build (text loads
+// included), so it runs as a partitioned counting sort over a resident
+// worker team (the kernel.SweepPool shape: spawn once, broadcast rounds
+// over buffered channels, caller works as worker 0):
 //
 //	phase 1  each worker counts in-degrees for its contiguous source
 //	         range into a private count array — no shared writes.

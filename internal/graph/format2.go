@@ -12,10 +12,9 @@ import (
 )
 
 // Binary format v2: a sectioned, 64-byte-aligned layout whose payload IS
-// the in-memory representation. Where v1 varint-codes the out-adjacency
-// and rebuilds everything else on load, v2 stores every array a Graph
-// holds at runtime — outOff, outAdj, the materialized inOff/inAdj, and
-// the weight arrays when present — as raw little-endian machine words at
+// the in-memory representation. It stores every array a Graph holds at
+// runtime — outOff, outAdj, the materialized inOff/inAdj, and the
+// weight arrays when present — as raw little-endian machine words at
 // aligned file offsets. Loading is therefore io.ReadFull into
 // preallocated slices (no per-edge decode loop, no append growth, no
 // in-CSR rebuild), and MmapFile goes one step further: the sections are
@@ -714,7 +713,7 @@ func readV2Fallback(path string) (*Graph, error) {
 // FormatSignature returns the graph's stored format signature and
 // whether one exists. Graphs loaded from a v2 file (ReadBinaryV2 or
 // MmapFile) carry a signature derived from the file's section
-// checksums; graphs built in memory or loaded from v1/text do not, and
+// checksums; graphs built in memory or loaded from text do not, and
 // callers fall back to walking the adjacency. Two loads of the same v2
 // file — mmap'd or copied — always agree.
 func (g *Graph) FormatSignature() (uint64, bool) {

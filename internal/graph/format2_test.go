@@ -98,17 +98,17 @@ func TestV2WriterDeterministic(t *testing.T) {
 	}
 }
 
-// TestV1ToV2Equivalence pins the converter path: a graph round-tripped
-// through v1 and then stored as v2 is bit-identical to storing the
-// original as v2 directly.
-func TestV1ToV2Equivalence(t *testing.T) {
+// TestTextToV2Equivalence pins the converter path: a graph taken
+// through the text edge list and then stored as v2 is bit-identical to
+// storing the original as v2 directly.
+func TestTextToV2Equivalence(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		g := randomGraph(rand.New(rand.NewSource(11)), weighted)
-		var v1 bytes.Buffer
-		if err := WriteBinary(&v1, g); err != nil {
+		var text bytes.Buffer
+		if err := WriteEdgeList(&text, g); err != nil {
 			t.Fatal(err)
 		}
-		fromV1, err := ReadBinary(&v1)
+		fromText, err := ReadEdgeList(&text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,11 +116,11 @@ func TestV1ToV2Equivalence(t *testing.T) {
 		if err := WriteBinaryV2(&a, g); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteBinaryV2(&b, fromV1); err != nil {
+		if err := WriteBinaryV2(&b, fromText); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("weighted=%v: v1-converted graph serializes differently", weighted)
+			t.Fatalf("weighted=%v: text-converted graph serializes differently", weighted)
 		}
 	}
 }
@@ -378,10 +378,9 @@ func TestSniffFile(t *testing.T) {
 		return path
 	}
 	// Deliberately misleading names: sniffing must ignore them.
-	v1 := writeAs("graph.txt", func(f *os.File) error { return WriteBinary(f, g) })
-	v2 := writeAs("graph.v1", func(f *os.File) error { return WriteBinaryV2(f, g) })
+	v2 := writeAs("graph.txt", func(f *os.File) error { return WriteBinaryV2(f, g) })
 	txt := writeAs("graph.bin", func(f *os.File) error { return WriteEdgeList(f, g) })
-	for path, want := range map[string]Format{v1: FormatV1, v2: FormatV2, txt: FormatText} {
+	for path, want := range map[string]Format{v2: FormatV2, txt: FormatText} {
 		got, err := SniffFile(path)
 		if err != nil {
 			t.Fatalf("SniffFile(%s): %v", path, err)

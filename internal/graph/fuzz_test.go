@@ -6,30 +6,10 @@ import (
 	"testing"
 )
 
-// Native fuzz targets for the two parsers. Under plain `go test` these
+// Native fuzz targets for the graph parsers. Under plain `go test` these
 // run their seed corpus; under `go test -fuzz` they explore. Either way
 // the invariant is the same: arbitrary input must produce a clean error
 // or a graph whose structural invariants validate — never a panic.
-
-func FuzzReadBinary(f *testing.F) {
-	g := MustFromEdges(5, [][2]NodeID{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {0, 0}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(binaryMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		back, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if verr := back.validate(); verr != nil {
-			t.Fatalf("accepted graph violates invariants: %v", verr)
-		}
-	})
-}
 
 // FuzzReadBinaryV2 drives both v2 parsers — the streaming reader and
 // the mapped-image reader — over the same input: each must reject with

@@ -7,8 +7,8 @@
 // construction in the ApproxRank/IdealRank framework aggregates over
 // in-edges (of local pages for IdealRank, of every page once per graph
 // for ApproxRank's in-mass vector). Graphs are immutable after
-// construction; build them with a Builder or load them with
-// LoadEdgeList/ReadBinary.
+// construction; build them with a Builder or load them with LoadFile
+// (text edge list or v2 binary) or MmapFile (v2, zero-copy).
 package graph
 
 import (

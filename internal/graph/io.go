@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -13,7 +12,9 @@ import (
 
 // Edge-list text format: one "src dst" or "src dst weight" pair per line,
 // '#' starts a comment, blank lines are skipped. Node count is the largest
-// id seen plus one unless a "# nodes: N" header raises it.
+// id seen plus one unless a "# nodes: N" header raises it. N is capped at
+// 2³¹, the cap v2 enforces, so every text graph that loads can be
+// written as v2.
 
 // WriteEdgeList writes g in the text edge-list format. Lines are
 // formatted with strconv appends into one reused buffer — no per-edge
@@ -62,7 +63,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			const hdr = "# nodes:"
 			if len(text) >= len(hdr) && string(text[:len(hdr)]) == hdr {
 				n, err := strconv.Atoi(strings.TrimSpace(string(text[len(hdr):])))
-				if err != nil || n <= 0 {
+				if err != nil || n <= 0 || n > 1<<31 {
 					return nil, fmt.Errorf("graph: bad node header at line %d", line)
 				}
 				b.EnsureNode(NodeID(n - 1))
@@ -172,245 +173,32 @@ func parseUint32Bytes(b []byte) (uint32, error) {
 	return uint32(x), nil
 }
 
-// Binary format v1: a fixed magic, a version byte, node and edge counts,
-// then the out-CSR as varints (offsets delta-coded, adjacency delta-coded
-// within each node). The in-CSR is rebuilt on load. Weighted graphs append
-// the weight array as raw little-endian float64s. Format v2 (format2.go)
-// supersedes it for anything performance-sensitive; v1 stays as the
-// compact interchange format and for old files.
-
-const binaryMagic = "APXGRAPH"
-
-// floatChunk is the per-call buffer of the chunked float codec: 512
-// float64s, 4 KiB on the stack, no heap.
-const floatChunk = 512
-
-// writeFloats encodes a float64 slice as raw little-endian bytes in
-// fixed-size chunks — the explicit form of what reflection-based
-// binary.Write did one value (and one interface dispatch) at a time.
-func writeFloats(w io.Writer, vals []float64) error {
-	var buf [floatChunk * 8]byte
-	for len(vals) > 0 {
-		c := len(vals)
-		if c > floatChunk {
-			c = floatChunk
-		}
-		encodeFloat64s(buf[:c*8], vals[:c])
-		if _, err := w.Write(buf[:c*8]); err != nil {
-			return err
-		}
-		vals = vals[c:]
-	}
-	return nil
-}
-
-// readFloats fills a float64 slice from raw little-endian bytes in
-// fixed-size chunks.
-func readFloats(r io.Reader, vals []float64) error {
-	var buf [floatChunk * 8]byte
-	for len(vals) > 0 {
-		c := len(vals)
-		if c > floatChunk {
-			c = floatChunk
-		}
-		if _, err := io.ReadFull(r, buf[:c*8]); err != nil {
-			return err
-		}
-		decodeFloat64s(vals[:c], buf[:c*8])
-		vals = vals[c:]
-	}
-	return nil
-}
-
-// encodeFloat64s writes vals as little-endian bytes into dst
-// (len(dst) == 8*len(vals)). The byte shifts are spelled out (rather
-// than calling binary.LittleEndian) so the loop stays transitively
-// pure; the compiler recognizes the idiom and emits a single store.
-//
-//arlint:hot
-func encodeFloat64s(dst []byte, vals []float64) {
-	for i, v := range vals {
-		b := math.Float64bits(v)
-		d := dst[i*8 : i*8+8 : i*8+8]
-		d[0] = byte(b)
-		d[1] = byte(b >> 8)
-		d[2] = byte(b >> 16)
-		d[3] = byte(b >> 24)
-		d[4] = byte(b >> 32)
-		d[5] = byte(b >> 40)
-		d[6] = byte(b >> 48)
-		d[7] = byte(b >> 56)
-	}
-}
-
-// decodeFloat64s fills vals from little-endian bytes in src
-// (len(src) == 8*len(vals)); see encodeFloat64s for the spelled-out
-// little-endian idiom.
-//
-//arlint:hot
-func decodeFloat64s(vals []float64, src []byte) {
-	for i := range vals {
-		s := src[i*8 : i*8+8 : i*8+8]
-		b := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-		vals[i] = math.Float64frombits(b)
-	}
-}
-
-// WriteBinary writes g in the compact v1 binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	version := byte(1)
-	flags := byte(0)
-	if g.Weighted() {
-		flags |= 1
-	}
-	_ = bw.WriteByte(version) //arlint:allow errflow bufio errors are sticky; the final Flush reports them
-	_ = bw.WriteByte(flags)   //arlint:allow errflow bufio errors are sticky; the final Flush reports them
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(x uint64) {
-		n := binary.PutUvarint(buf[:], x)
-		_, _ = bw.Write(buf[:n]) //arlint:allow errflow bufio errors are sticky; the final Flush reports them
-	}
-	putUvarint(uint64(g.NumNodes()))
-	putUvarint(uint64(g.NumEdges()))
-	for u := 0; u < g.NumNodes(); u++ {
-		adj := g.OutNeighbors(NodeID(u))
-		putUvarint(uint64(len(adj)))
-		prev := uint64(0)
-		for k, v := range adj {
-			if k == 0 {
-				putUvarint(uint64(v))
-			} else {
-				putUvarint(uint64(v) - prev) // adjacency is sorted strictly ascending after dedup
-			}
-			prev = uint64(v)
-		}
-	}
-	if g.Weighted() {
-		if err := writeFloats(bw, g.outW); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses the compact v1 binary format and validates the result.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	version, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if version != 1 {
-		return nil, fmt.Errorf("graph: unsupported binary version %d", version)
-	}
-	flags, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	weighted := flags&1 != 0
-	n64, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	m64, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n64 == 0 || n64 > 1<<31 || m64 > 1<<40 {
-		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n64, m64)
-	}
-	n, m := int(n64), int(m64)
-	g := &Graph{n: n}
-	g.outOff = make([]int64, n+1)
-	g.outAdj = make([]NodeID, 0, m)
-	for u := 0; u < n; u++ {
-		deg, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: node %d degree: %w", u, err)
-		}
-		prev := uint64(0)
-		for k := uint64(0); k < deg; k++ {
-			d, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("graph: node %d adjacency: %w", u, err)
-			}
-			v := d
-			if k > 0 {
-				v = prev + d
-			}
-			if v >= n64 {
-				return nil, fmt.Errorf("graph: node %d edge target %d out of range", u, v)
-			}
-			g.outAdj = append(g.outAdj, NodeID(v))
-			prev = v
-		}
-		g.outOff[u+1] = g.outOff[u] + int64(deg)
-	}
-	if len(g.outAdj) != m {
-		return nil, fmt.Errorf("graph: edge count mismatch: header %d, body %d", m, len(g.outAdj))
-	}
-	if weighted {
-		g.outW = make([]float64, m)
-		if err := readFloats(br, g.outW); err != nil {
-			return nil, fmt.Errorf("graph: weights: %w", err)
-		}
-		g.wOut = make([]float64, n)
-		for u := 0; u < n; u++ {
-			for k := g.outOff[u]; k < g.outOff[u+1]; k++ {
-				g.wOut[u] += g.outW[k]
-			}
-		}
-	}
-	buildIn(g)
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
+// magicV1 opens files of the retired v1 binary format. LoadFile
+// recognizes it only to reject it by name: sniffed as text, a v1 file
+// would fail with a confusing parse error on line 1.
+const magicV1 = "APXGRAPH"
 
 // Format identifies one of the on-disk graph formats.
 type Format int
 
 const (
 	FormatText Format = iota // text edge list
-	FormatV1                 // compact varint binary (magic "APXGRAPH")
 	FormatV2                 // sectioned zero-copy binary (magic "APXGRF2\0")
 )
 
 func (f Format) String() string {
-	switch f {
-	case FormatV1:
-		return "v1"
-	case FormatV2:
+	if f == FormatV2 {
 		return "v2"
-	default:
-		return "text"
 	}
+	return "text"
 }
 
 // sniffFormat classifies the first bytes of a graph file. Anything that
-// matches neither binary magic is treated as text — the text parser
+// does not open with the v2 magic is treated as text — the text parser
 // produces the intelligible error for genuinely unreadable input.
 func sniffFormat(prefix []byte) Format {
-	if len(prefix) >= 8 {
-		switch string(prefix[:8]) {
-		case binaryMagic:
-			return FormatV1
-		case magicV2:
-			return FormatV2
-		}
+	if string(prefix) == magicV2 {
+		return FormatV2
 	}
 	return FormatText
 }
@@ -435,21 +223,18 @@ func SniffFile(path string) (Format, error) {
 }
 
 // SaveFile writes g to path, choosing the format by extension: ".txt"
-// or ".edges" selects the text edge list, ".v1" the compact v1 binary,
-// everything else the zero-copy v2 binary. (Extensions only matter on
-// the write side; LoadFile sniffs magic bytes.)
+// or ".edges" selects the text edge list, everything else the zero-copy
+// v2 binary. (Extensions only matter on the write side; LoadFile sniffs
+// magic bytes.)
 func SaveFile(path string, g *Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".txt") || strings.HasSuffix(path, ".edges"):
+	if strings.HasSuffix(path, ".txt") || strings.HasSuffix(path, ".edges") {
 		err = WriteEdgeList(f, g)
-	case strings.HasSuffix(path, ".v1"):
-		err = WriteBinary(f, g)
-	default:
+	} else {
 		err = WriteBinaryV2(f, g)
 	}
 	if err != nil {
@@ -459,9 +244,10 @@ func SaveFile(path string, g *Graph) error {
 }
 
 // LoadFile reads a graph in any supported format, detected by content
-// (v1 magic, v2 magic, else text) rather than filename — renamed or
-// extension-less files load correctly. For the zero-copy load of a v2
-// file use MmapFile instead.
+// (v2 magic, else text) rather than filename — renamed or
+// extension-less files load correctly. A file in the retired v1 binary
+// format is an error that names it. For the zero-copy load of a v2 file
+// use MmapFile instead.
 func LoadFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -473,12 +259,11 @@ func LoadFile(path string) (*Graph, error) {
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, err
 	}
-	switch sniffFormat(prefix) {
-	case FormatV1:
-		return ReadBinary(br)
-	case FormatV2:
-		return ReadBinaryV2(br)
-	default:
-		return ReadEdgeList(br)
+	if string(prefix) == magicV1 {
+		return nil, fmt.Errorf("graph: %s is in the retired v1 binary format; only text and v2 load", path)
 	}
+	if sniffFormat(prefix) == FormatV2 {
+		return ReadBinaryV2(br)
+	}
+	return ReadEdgeList(br)
 }

@@ -19,8 +19,8 @@ import (
 // slice handed out by the graph — adjacency rows, InCSR/OutCSR, kernel
 // snapshots that alias them — dies with Close.
 //
-// Only v2 files can be mapped (the v1 payload is varint-coded, not an
-// image); callers holding a file of unknown format should sniff it
+// Only v2 files can be mapped (a text file is not an image of the
+// arrays); callers holding a file of unknown format should sniff it
 // first (SniffFile) or use LoadFile. On big-endian hosts the mapping
 // cannot be aliased and MmapFile transparently falls back to the
 // copying reader.

@@ -12,10 +12,9 @@ import (
 // benchmark reference: one goroutine spawned and joined per part per
 // round, partial deltas in adjacent slots of one array. The pooled
 // sweep must beat this on per-round overhead; the benchjson CI gate
-// holds the pair's ratio against the cached baseline. (Test files are
-// not analyzed by arlint, so the pattern can live here without a
-// suppression; the same shape is pinned as a finding by the spawnloop
-// and falseshare golden fixtures.)
+// holds the pair's ratio against the cached baseline. Its adjacent
+// delta slots share one cache line across workers; the pool's padded
+// slots (deltaPad) give each worker its own line.
 func respawnSweep(ctx context.Context, c *CSR, next, cur, p, d []float64, eps, danglingMass float64, bounds []int, partDeltas []float64) float64 {
 	parts := len(bounds) - 1
 	var wg sync.WaitGroup

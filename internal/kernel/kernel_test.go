@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -217,6 +218,16 @@ func TestSweepPoolCancelled(t *testing.T) {
 		if x != 0 {
 			t.Fatal("cancelled sweep wrote into next")
 		}
+	}
+}
+
+// TestDeltaPadFillsCacheLine: neighboring SweepPool workers' delta
+// slots lie at least one 64-byte cache line apart, so the workers'
+// end-of-round stores never write the same line.
+func TestDeltaPadFillsCacheLine(t *testing.T) {
+	const cacheLine = 64
+	if stride := deltaPad * int(unsafe.Sizeof(float64(0))); stride < cacheLine {
+		t.Fatalf("delta slot stride is %d bytes, want at least one %d-byte cache line", stride, cacheLine)
 	}
 }
 

@@ -48,7 +48,8 @@ func (job *sweepJob) sweepPart(w int) float64 {
 // convergence loop spawns it once, calls Sweep or SweepScaled once per
 // iteration, and Closes it when done — amortizing goroutine creation
 // across the whole run instead of paying one spawn+join per worker per
-// round (the spawnloop pattern arlint flags). The calling goroutine
+// round, which costs goroutine creation, WaitGroup churn and an
+// allocation per worker every iteration. The calling goroutine
 // participates as worker 0, so a pool of P parts keeps exactly P
 // runnable goroutines and a single-part pool runs the sweep inline
 // with no synchronization at all.

@@ -15,11 +15,11 @@ import (
 // each round every worker owns a disjoint, edge-count-balanced range of
 // TARGET nodes and pulls contributions along the materialized
 // in-adjacency — reading the immutable cur, writing only its own slice
-// of next. Spawning the team once instead of once per iteration (the
-// arlint spawnloop finding this replaced) removes one goroutine
-// creation + WaitGroup churn per worker per round; the per-worker
-// partial deltas live in cache-line-padded pool slots (the falseshare
-// finding), not adjacent elements of a shared array.
+// of next. Spawning the team once instead of once per iteration
+// removes one goroutine creation + WaitGroup churn and its allocations
+// per worker per round; the per-worker partial deltas live in
+// cache-line-padded pool slots, one line per worker, not adjacent
+// elements of a shared array whose line every worker would write.
 //
 // The requested Parallelism is capped at runtime.GOMAXPROCS(0): parts
 // beyond the schedulable CPUs cannot run concurrently and only add

@@ -1,11 +1,74 @@
 package pagerank
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// runMallocs warms run with one call, then returns the fewest heap
+// allocations over three more calls (a GC may empty the kernel's
+// buffer pools between calls) and the iterations the last call ran.
+func runMallocs(run func() int) (mallocs uint64, iters int) {
+	run()
+	mallocs = math.MaxUint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		iters = run()
+		runtime.ReadMemStats(&after)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+	}
+	return mallocs, iters
+}
+
+// slowRing is a bidirectional ring of n pages with one chord from page
+// 0 to page n/2. The ring mixes slowly and the chord breaks its
+// symmetry, so at damping 0.99 the power iteration's delta falls
+// about 1% a round and stays far from zero for hundreds of rounds.
+func slowRing(n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		b.AddEdge(graph.NodeID(u), graph.NodeID((u+1)%n))
+		b.AddEdge(graph.NodeID(u), graph.NodeID((u+n-1)%n))
+	}
+	b.AddEdge(0, graph.NodeID(n/2))
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// TestParallelAllocsFlat: computeParallel spawns its worker pool once
+// per run, so a run's allocations do not grow with its iteration
+// count. Respawning the workers every round would allocate every
+// round. The mallocs are read from runtime.MemStats at GOMAXPROCS 2:
+// testing.AllocsPerRun pins GOMAXPROCS to 1, where computeParallel
+// falls back to computeFlat and no pool exists.
+func TestParallelAllocsFlat(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := slowRing(4000)
+	run := func(maxIter int) func() int {
+		return func() int {
+			opts := Options{Parallelism: 2, Epsilon: 0.99, Tolerance: math.SmallestNonzeroFloat64, MaxIterations: maxIter}
+			return computeOrDie(t, g, opts).Iterations
+		}
+	}
+	shortM, shortIt := runMallocs(run(10))
+	longM, longIt := runMallocs(run(210))
+	if longIt-shortIt < 100 {
+		t.Fatalf("long run stopped after %d iterations, short after %d: too few to measure", longIt, shortIt)
+	}
+	t.Logf("mallocs %d → %d over %d → %d iterations", shortM, longM, shortIt, longIt)
+	if grew := int64(longM) - int64(shortM); grew*10 >= int64(longIt-shortIt) {
+		t.Errorf("mallocs grew %d → %d over %d → %d iterations: the parallel loop allocates per round",
+			shortM, longM, shortIt, longIt)
+	}
+}
 
 // TestParallelAgreement: parallel runs converge to the same vector as
 // sequential ones, on unweighted and weighted graphs with dangling pages.
