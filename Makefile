@@ -52,7 +52,8 @@ race:
 # kernel's pooled-vs-respawn sweep pair, the graph loading pipeline:
 # v2 load, zero-copy mmap open, text-loader allocs, and the
 # save→mmap→rank end-to-end path, and serve's request hot path: rank
-# body decoding and id canonicalization) parsed to a machine-readable
+# body decoding, id canonicalization and a whole result hit written
+# from its stored tail) parsed to a machine-readable
 # artifact. BENCHTIME trades precision for speed; the graph corpus runs
 # at ~1M edges here — set GRAPH_BENCH_CRAWL=1 for the 10M/50M scales.
 bench:
@@ -78,3 +79,4 @@ fuzz-smoke:
 	$(GO) test ./internal/metrics/ -run FuzzRankingMetrics -fuzz FuzzRankingMetrics -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run FuzzRankRequest -fuzz FuzzRankRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run FuzzCanonicalIDs -fuzz FuzzCanonicalIDs -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run FuzzRankHit -fuzz FuzzRankHit -fuzztime $(FUZZTIME)

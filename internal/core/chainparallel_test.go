@@ -28,8 +28,12 @@ func mustChain(t *testing.T, sub *graph.Subgraph) *ExtendedChain {
 
 // TestChainParallelDeterministic: for a FIXED worker count, two runs of
 // the parallel pull path produce bit-identical scores — the determinism
-// contract the kernel's disjoint-output-range design guarantees.
+// contract the kernel's disjoint-output-range design guarantees. The
+// pool is capped at GOMAXPROCS, so the test raises it to 4: on a 2-CPU
+// host the race detector then still sees three workers beside the
+// caller.
 func TestChainParallelDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	_, sub := testWeb(t, 2000, 6)
 	chain := mustChain(t, sub)
 	cfg := Config{Tolerance: 1e-10, Parallelism: 4}

@@ -114,8 +114,11 @@ func TestParallelWeighted(t *testing.T) {
 }
 
 // TestParallelDeterministic: two runs with the same worker count are
-// bit-identical.
+// bit-identical. The pool is capped at GOMAXPROCS, so the test raises it
+// to 4: on a 2-CPU host the race detector then still sees three workers
+// beside the caller.
 func TestParallelDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(73))
 	g := randomTestGraph(rng, 400, 0.05)
 	a := computeOrDie(t, g, Options{Parallelism: 4})

@@ -17,12 +17,18 @@ import (
 // Entries loaded from the disk cache or stored by a batch start with a
 // nil chain — the scores alone answer repeat queries; the chain is
 // rebuilt only if a NEW configuration asks for an iteration.
+//
+// tails holds, per configuration key, the encoded rank response after
+// its node list (see hitTail). A configuration's tail is stored on its
+// first result hit and deleted whenever its result is replaced; the map
+// stays nil on entries that are never hit.
 type entry struct {
 	hash    uint64
 	ids     []graph.NodeID // canonical: sorted ascending, distinct
 	chain   *core.ExtendedChain
 	results map[string]*core.Result
 	engines map[string]*search.Engine
+	tails   map[string][]byte
 }
 
 // lruCache is an LRU of entries keyed by the FNV-1a hash of the canonical
@@ -94,8 +100,8 @@ func (c *lruCache) len() int { return c.ll.Len() }
 // ascending with duplicates removed — the subgraph identity every cache
 // layer keys on (graph.NewSubgraph applies the same normalization, so
 // the key and the built subgraph can never disagree). Input that is
-// already non-decreasing (domain slices, disk-cache ids) skips the sort;
-// anything else is radix-sorted.
+// already non-decreasing (domain slices) skips the sort; anything else
+// is radix-sorted.
 func canonicalIDs(nodes []uint32, numNodes int) ([]graph.NodeID, error) {
 	if len(nodes) == 0 {
 		return nil, errNoNodes

@@ -152,10 +152,10 @@ func FuzzRankRequest(f *testing.F) {
 	})
 }
 
-// benchCrawl is a deterministic ~2.5k-page BFS crawl of a fixed-seed
-// 20k-page web, in crawl order: the shape of a hot-repeat or crawl-cold
-// request.
-func benchCrawl(b *testing.B) []uint32 {
+// benchCrawl returns a fixed-seed 20k-page web and a deterministic
+// 2.5k-page BFS crawl of it, in crawl order: the shape of a hot-repeat
+// or crawl-cold request.
+func benchCrawl(b *testing.B) (*gen.Dataset, []uint32) {
 	b.Helper()
 	ds, err := gen.Generate(gen.Config{Pages: 20000, Domains: 4, Topics: 4, Seed: 7})
 	if err != nil {
@@ -165,14 +165,15 @@ func benchCrawl(b *testing.B) []uint32 {
 	if err != nil || len(pages) != 2500 {
 		b.Fatalf("BFS: %d pages, %v", len(pages), err)
 	}
-	return pages
+	return ds, pages
 }
 
 // BenchmarkDecodeRankRequest decodes a crawl-order rank body with the
 // scanner and, for comparison, with the encoding/json fallback alone.
 func BenchmarkDecodeRankRequest(b *testing.B) {
+	_, crawl := benchCrawl(b)
 	body := []byte(`{"nodes":[`)
-	for i, id := range benchCrawl(b) {
+	for i, id := range crawl {
 		if i > 0 {
 			body = append(body, ',')
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -159,17 +160,18 @@ func (s *Server) LoadDiskCache() (int, error) {
 		return 0, nil
 	}
 	numNodes := s.gctx.Graph().NumNodes()
-	loaded := 0
+	loaded, rejected := 0, 0
 	// Entries were saved front (most recent) to back; inserting in
 	// reverse restores the LRU order, and capacity enforcement drops the
 	// coldest tail if the file outgrew the configured cache.
 	s.mu.Lock()
 	for i := len(df.Entries) - 1; i >= 0; i-- {
 		de := df.Entries[i]
-		ids, err := canonicalIDs(de.IDs, numNodes)
-		if err != nil || len(de.Results) == 0 {
+		if !servableDiskEntry(de, numNodes) {
+			rejected++
 			continue
 		}
+		ids := de.IDs
 		h := hashIDs(ids)
 		if _, dup := s.cache.get(h, ids); dup {
 			continue
@@ -194,8 +196,38 @@ func (s *Server) LoadDiskCache() (int, error) {
 		loaded++
 	}
 	s.stats.DiskEntriesLoaded += int64(loaded)
+	s.stats.DiskEntriesRejected += int64(rejected)
 	s.mu.Unlock()
 	return loaded, nil
+}
+
+// servableDiskEntry reports whether a loaded entry can be served as it
+// stands: its ids are canonical (strictly increasing) and inside the
+// graph, it has a result, and every result holds one finite,
+// non-negative score per id and a finite Λ. SaveDiskCache writes only
+// such entries; anything else in a file with the right format and
+// signature would be served wrong — scores misaligned with re-sorted
+// ids, or a NaN that encoding/json cannot write — so it is dropped.
+func servableDiskEntry(de diskEntry, numNodes int) bool {
+	if len(de.IDs) == 0 || len(de.Results) == 0 {
+		return false
+	}
+	for i, id := range de.IDs {
+		if int(id) >= numNodes || i > 0 && id <= de.IDs[i-1] {
+			return false
+		}
+	}
+	for _, dr := range de.Results {
+		if len(dr.Scores) != len(de.IDs) || math.IsNaN(dr.Lambda) || math.IsInf(dr.Lambda, 0) {
+			return false
+		}
+		for _, x := range dr.Scores {
+			if !(x >= 0) || math.IsInf(x, 1) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // sortDiskResults orders results by configuration key (insertion sort —

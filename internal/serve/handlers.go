@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -198,12 +201,30 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	reqCtx, cancel := context.WithTimeout(r.Context(), cfg.Deadline)
 	defer cancel()
-	res, cached, err := s.rankScores(reqCtx, ids, cfg)
+	key := cfgKey(cfg)
+	res, cached, tail, err := s.rankScores(reqCtx, ids, key, cfg)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rankResultOf(ids, res, cached))
+	if !cached {
+		writeJSON(w, http.StatusOK, rankResultOf(ids, res, false))
+		return
+	}
+	if tail != nil {
+		s.mu.Lock()
+		s.stats.TailHits++
+		s.mu.Unlock()
+	} else {
+		if tail, err = hitTail(res); err != nil {
+			// encoding/json refuses the result (a non-finite score):
+			// answer exactly what writeJSON answers for it.
+			writeJSON(w, http.StatusOK, rankResultOf(ids, res, true))
+			return
+		}
+		s.storeTail(ids, key, res, tail)
+	}
+	writeHit(w, ids, tail)
 }
 
 // handleRankBatch serves the batch form of /v1/rank. The response is
@@ -276,12 +297,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	reqCtx, cancel := context.WithTimeout(r.Context(), cfg.Deadline)
 	defer cancel()
-	res, cached, err := s.rankScores(reqCtx, ids, cfg)
+	key := cfgKey(cfg)
+	res, cached, _, err := s.rankScores(reqCtx, ids, key, cfg)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	eng, err := s.searchEngine(ids, cfgKey(cfg), res)
+	eng, err := s.searchEngine(ids, key, res)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -341,6 +363,48 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v) //arlint:allow errflow the status line is already sent; the client sees the truncated body
+}
+
+// hitTail encodes a result hit's response after its node list:
+// `"scores":[…],"lambda":…,"iterations":…,"converged":…,"cached":true}`.
+// It marshals rankResult itself with no nodes and cuts the node list
+// off, so the field order and every float's text stay encoding/json's.
+func hitTail(res *core.Result) ([]byte, error) {
+	b, err := json.Marshal(rankResultOf([]graph.NodeID{}, res, true))
+	if err != nil {
+		return nil, err
+	}
+	tail, ok := bytes.CutPrefix(b, []byte(`{"nodes":[],`))
+	if !ok {
+		return nil, errors.New("serve: rank result encoding lacks its node list")
+	}
+	return tail, nil
+}
+
+// hitBufs recycles the buffers writeHit assembles bodies in.
+var hitBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeHit writes a result hit's 200 response from its canonical ids and
+// stored tail. The body is byte for byte what writeJSON writes for
+// rankResultOf(ids, res, true), in one Write as writeJSON does, but only
+// the ids are formatted per request.
+func writeHit(w http.ResponseWriter, ids []graph.NodeID, tail []byte) {
+	bp := hitBufs.Get().(*[]byte)
+	b := append((*bp)[:0], `{"nodes":[`...)
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, uint64(id), 10)
+	}
+	b = append(b, "],"...)
+	b = append(b, tail...)
+	b = append(b, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) //arlint:allow errflow the status line is already sent; the client sees the truncated body
+	*bp = b
+	hitBufs.Put(bp)
 }
 
 // rankResultOf shapes a core result for the wire. nodes is the canonical

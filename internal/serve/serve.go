@@ -9,9 +9,10 @@
 //
 //  1. an LRU cache of frozen, ready-to-iterate chain state keyed by
 //     canonical subgraph identity (sorted node-ID hash, verified
-//     exactly), so repeat queries skip NewApproxChainCtx entirely and
+//     exactly), so repeat queries skip NewApproxChainCtx entirely,
 //     repeat queries under the same configuration skip the power
-//     iteration too;
+//     iteration too, and from a result's second hit on its scores are
+//     written from the text its first hit encoded;
 //  2. single-flight coalescing, so N concurrent requests for the same
 //     uncached subgraph trigger one computation and share the result;
 //  3. bounded admission — a semaphore-gated compute tier with a bounded
@@ -203,19 +204,21 @@ func cfgKey(cfg core.Config) string {
 		strconv.Itoa(cfg.MaxIterations)
 }
 
-// rankScores answers one subgraph-rank query through the full serving
-// path: result cache → in-flight coalescing → admission-gated
-// computation. It returns the converged result, the canonical ids, and
-// whether the answer came straight from cache.
-func (s *Server) rankScores(reqCtx context.Context, ids []graph.NodeID, cfg core.Config) (*core.Result, bool, error) {
+// rankScores answers one subgraph-rank query under the configuration
+// whose cfgKey is key through the full serving path: result cache →
+// in-flight coalescing → admission-gated computation. It returns the
+// converged result and whether the answer came straight from cache; a
+// result hit also returns the entry's stored tail for key, nil until
+// the entry's first hit stores one (storeTail).
+func (s *Server) rankScores(reqCtx context.Context, ids []graph.NodeID, key string, cfg core.Config) (*core.Result, bool, []byte, error) {
 	h := hashIDs(ids)
-	key := cfgKey(cfg)
 	s.mu.Lock()
 	if e, ok := s.cache.get(h, ids); ok {
 		if res, ok2 := e.results[key]; ok2 {
 			s.stats.ResultHits++
+			tail := e.tails[key]
 			s.mu.Unlock()
-			return res, true, nil
+			return res, true, tail, nil
 		}
 	}
 	fl := s.matchFlightLocked(h, ids, key)
@@ -233,12 +236,12 @@ func (s *Server) rankScores(reqCtx context.Context, ids []graph.NodeID, cfg core
 	case <-reqCtx.Done():
 		// This request's budget expired while the shared computation was
 		// still running; the computation itself continues for the others.
-		return nil, false, reqCtx.Err()
+		return nil, false, nil, reqCtx.Err()
 	}
 	s.mu.Lock()
 	res, err := fl.res, fl.err
 	s.mu.Unlock()
-	return res, false, err
+	return res, false, nil, err
 }
 
 // matchFlightLocked finds an in-flight computation for the exact
@@ -338,7 +341,8 @@ func (s *Server) compute(ids []graph.NodeID, h uint64, key string, cfg core.Conf
 }
 
 // storeResult caches a converged result (and the frozen chain behind it)
-// under the canonical identity, creating or refreshing the LRU entry.
+// under the canonical identity, creating or refreshing the LRU entry. A
+// replaced result takes its stored tail with it.
 func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, chain *core.ExtendedChain, res *core.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -356,6 +360,24 @@ func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, chain *co
 		e.chain = chain
 	}
 	e.results[key] = res
+	delete(e.tails, key)
+}
+
+// storeTail keeps tail, the encoded hit response of res after its node
+// list, on the entry for ids under key — but only while res is still
+// the result cached there: a result replaced since it was read must not
+// get the old result's tail.
+func (s *Server) storeTail(ids []graph.NodeID, key string, res *core.Result, tail []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.cache.get(hashIDs(ids), ids)
+	if !ok || e.results[key] != res {
+		return
+	}
+	if e.tails == nil {
+		e.tails = make(map[string][]byte, 1)
+	}
+	e.tails[key] = tail
 }
 
 // searchEngine returns (building and caching if needed) the search

@@ -648,7 +648,8 @@ func TestStatsEndpointShape(t *testing.T) {
 		"result_hits", "chain_hits", "misses",
 		"computations", "coalesced_waits",
 		"in_flight", "admission_rejected", "deadline_failures",
-		"cache_entries", "evictions", "disk_entries_loaded", "engines_built",
+		"tail_hits", "stored_tail_bytes",
+		"cache_entries", "evictions", "disk_entries_loaded", "disk_entries_rejected", "engines_built",
 		"batch_chains_run", "batch_chains_failed",
 	} {
 		if _, ok := raw[field]; !ok {
@@ -764,7 +765,7 @@ func FuzzCanonicalIDs(f *testing.F) {
 // BenchmarkCanonicalIDs canonicalizes a crawl-order id list (radix sort)
 // and the same list sorted (the O(n) check alone).
 func BenchmarkCanonicalIDs(b *testing.B) {
-	crawl := benchCrawl(b)
+	_, crawl := benchCrawl(b)
 	sorted := slices.Clone(crawl)
 	slices.Sort(sorted)
 	for _, bc := range []struct {

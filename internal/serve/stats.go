@@ -21,6 +21,13 @@ type Stats struct {
 	ChainHits  int64 `json:"chain_hits"`
 	Misses     int64 `json:"misses"`
 
+	// TailHits counts the /v1/rank result hits written from a stored
+	// tail (the encoded scores an entry keeps from its first hit), so
+	// only their node lists were formatted. StoredTailBytes is the size
+	// of the tails the cache holds now.
+	TailHits        int64 `json:"tail_hits"`
+	StoredTailBytes int64 `json:"stored_tail_bytes"`
+
 	// Computations counts power iterations actually run by the serving
 	// tier (batch items excluded — see BatchChainsRun). CoalescedWaits
 	// counts requests that piggybacked on an identical in-flight
@@ -37,12 +44,17 @@ type Stats struct {
 	DeadlineFailures  int64 `json:"deadline_failures"`
 
 	// CacheEntries / Evictions describe the LRU; DiskEntriesLoaded is how
-	// many entries the startup warm-load recovered; EnginesBuilt counts
-	// search-engine constructions (a repeat search is free).
-	CacheEntries      int64 `json:"cache_entries"`
-	Evictions         int64 `json:"evictions"`
-	DiskEntriesLoaded int64 `json:"disk_entries_loaded"`
-	EnginesBuilt      int64 `json:"engines_built"`
+	// many entries the startup warm-load recovered and
+	// DiskEntriesRejected how many it discarded as unservable (ids not
+	// strictly increasing or outside the graph, or a result whose scores
+	// do not match the ids or are not finite and non-negative);
+	// EnginesBuilt counts search-engine constructions (a repeat search is
+	// free).
+	CacheEntries        int64 `json:"cache_entries"`
+	Evictions           int64 `json:"evictions"`
+	DiskEntriesLoaded   int64 `json:"disk_entries_loaded"`
+	DiskEntriesRejected int64 `json:"disk_entries_rejected"`
+	EnginesBuilt        int64 `json:"engines_built"`
 
 	// BatchChainsRun counts chains completed inside batch requests;
 	// BatchChainsFailed counts batch items answered with a per-item error
@@ -56,5 +68,10 @@ type Stats struct {
 func (s *Server) statsSnapshotLocked() Stats {
 	st := s.stats
 	st.CacheEntries = int64(s.cache.len())
+	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
+		for _, tail := range el.Value.(*entry).tails {
+			st.StoredTailBytes += int64(len(tail))
+		}
+	}
 	return st
 }
