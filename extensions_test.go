@@ -7,10 +7,10 @@ import (
 	approxrank "repro"
 )
 
-// TestFacadeObjectRank drives the ObjectRank surface end to end: schema,
-// data graph, keyword query, and the authority-graph bridge into the
-// subgraph framework.
-func TestFacadeObjectRank(t *testing.T) {
+// citationData builds a three-object ObjectRank data graph through the
+// facade: two papers, one citing the other, and their author.
+func citationData(t testing.TB) *approxrank.DataGraph {
+	t.Helper()
 	s := approxrank.NewSchema()
 	for _, ty := range []string{"paper", "author"} {
 		if err := s.AddType(ty); err != nil {
@@ -42,7 +42,14 @@ func TestFacadeObjectRank(t *testing.T) {
 	if err := d.AddRelation(a, p1, "writes"); err != nil {
 		t.Fatalf("AddRelation: %v", err)
 	}
+	return d
+}
 
+// TestFacadeObjectRank drives the ObjectRank surface end to end: schema,
+// data graph, keyword query, and the authority-graph bridge into the
+// subgraph framework.
+func TestFacadeObjectRank(t *testing.T) {
+	d := citationData(t)
 	global, err := approxrank.ObjectRank(d, nil, approxrank.ObjectRankConfig{Tolerance: 1e-10})
 	if err != nil {
 		t.Fatalf("ObjectRank: %v", err)

@@ -17,7 +17,9 @@ import (
 //
 // A power-iteration loop is recognized by the repository's convention:
 // a `for` statement whose init declares a variable named "iter" or
-// whose condition mentions MaxIterations. Function literals inside the
+// whose condition mentions MaxIterations, or the step function literal
+// passed to an Iterate call (kernel.Iterate, or an engine's iterate
+// wrapper), which runs once per iteration. Function literals inside the
 // loop body (the parallel engine's workers) run once per iteration and
 // are scanned too.
 //
@@ -68,15 +70,16 @@ func runHotAlloc(pass *Pass) {
 func checkHotAllocFunc(pass *Pass, fn *ast.FuncDecl) {
 	info := pass.Pkg.Info
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok || !isPowerLoop(loop) {
+		hot, body := powerBody(n)
+		if body == nil {
 			return true
 		}
+		loop, _ := hot.(*ast.ForStmt) // only a for loop takes the hoist fix
 		// Map each single-define `x := <call>` statement in the body to
 		// its call, so the make case below can offer a hoist fix for the
 		// whole statement rather than the bare expression.
 		defines := make(map[*ast.CallExpr]*ast.AssignStmt)
-		ast.Inspect(loop.Body, func(m ast.Node) bool {
+		ast.Inspect(body, func(m ast.Node) bool {
 			if as, ok := m.(*ast.AssignStmt); ok && as.Tok == token.DEFINE && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
 				if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
 					defines[call] = as
@@ -84,7 +87,7 @@ func checkHotAllocFunc(pass *Pass, fn *ast.FuncDecl) {
 			}
 			return true
 		})
-		ast.Inspect(loop.Body, func(m ast.Node) bool {
+		ast.Inspect(body, func(m ast.Node) bool {
 			call, ok := m.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -118,7 +121,7 @@ func checkHotAllocFunc(pass *Pass, fn *ast.FuncDecl) {
 					return true
 				}
 				target := types.ExprString(call.Args[0])
-				if preallocatedBefore(fn, target, loop) {
+				if preallocatedBefore(fn, target, hot) {
 					return true
 				}
 				pass.Reportf(call.Pos(),
@@ -129,6 +132,28 @@ func checkHotAllocFunc(pass *Pass, fn *ast.FuncDecl) {
 		})
 		return false // nested loops are part of the same iteration body
 	})
+}
+
+// powerBody returns the code n runs once per power iteration, with the
+// node it belongs to: the body of a conventional convergence loop (see
+// isPowerLoop), or the step literal passed to an Iterate call. It
+// returns a nil body for any other node.
+func powerBody(n ast.Node) (ast.Node, *ast.BlockStmt) {
+	switch n := n.(type) {
+	case *ast.ForStmt:
+		if isPowerLoop(n) {
+			return n, n.Body
+		}
+	case *ast.CallExpr:
+		if name := callName(n); name == "iterate" || name == "Iterate" || strings.HasSuffix(name, ".Iterate") {
+			for _, arg := range n.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok {
+					return lit, lit.Body
+				}
+			}
+		}
+	}
+	return nil, nil
 }
 
 // hoistMakeFix builds the mechanical hoist for the common shape
@@ -146,7 +171,7 @@ func checkHotAllocFunc(pass *Pass, fn *ast.FuncDecl) {
 // freshly ZEROED buffer each iteration must clear it after hoisting —
 // the same caveat the diagnostic's advice always had.
 func hoistMakeFix(pass *Pass, loop *ast.ForStmt, call *ast.CallExpr, as *ast.AssignStmt) *SuggestedFix {
-	if as == nil {
+	if as == nil || loop == nil {
 		return nil
 	}
 	id, ok := as.Lhs[0].(*ast.Ident)
@@ -248,9 +273,10 @@ func isPowerLoop(loop *ast.ForStmt) bool {
 
 // preallocatedBefore reports whether target (rendered expression, e.g.
 // "res.Deltas") is assigned a make with explicit capacity somewhere in
-// fn before the loop. A nil loop (the summary layer asking about the
-// whole function) accepts a capacity make anywhere in the body.
-func preallocatedBefore(fn *ast.FuncDecl, target string, loop *ast.ForStmt) bool {
+// fn before the loop (a for loop or an Iterate step literal). A nil loop
+// (the summary layer asking about the whole function) accepts a
+// capacity make anywhere in the body.
+func preallocatedBefore(fn *ast.FuncDecl, target string, loop ast.Node) bool {
 	found := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if found || n == nil {

@@ -18,3 +18,22 @@ func Compute(maxIterations int) []float64 {
 	}
 	return scores
 }
+
+// Step allocates inside the step function Iterate runs every iteration.
+func Step(maxIterations int) []float64 {
+	scores := make([]float64, 8)
+	Iterate(maxIterations, func() float64 {
+		buf := make([]float64, len(scores))
+		copy(buf, scores)
+		return buf[0]
+	})
+	return scores
+}
+
+// Iterate stands in for kernel.Iterate: it calls step up to maxIter
+// times.
+func Iterate(maxIter int, step func() float64) {
+	for k := 0; k < maxIter; k++ {
+		step()
+	}
+}

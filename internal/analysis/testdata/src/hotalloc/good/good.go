@@ -30,3 +30,23 @@ func PerIteration(maxIterations int) {
 		_ = buf
 	}
 }
+
+// Step sizes its scratch once, outside the step function Iterate runs
+// every iteration.
+func Step(maxIterations int) []float64 {
+	scores := make([]float64, 8)
+	buf := make([]float64, len(scores))
+	Iterate(maxIterations, func() float64 {
+		copy(buf, scores)
+		return buf[0]
+	})
+	return scores
+}
+
+// Iterate stands in for kernel.Iterate: it calls step up to maxIter
+// times.
+func Iterate(maxIter int, step func() float64) {
+	for k := 0; k < maxIter; k++ {
+		step()
+	}
+}

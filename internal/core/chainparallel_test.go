@@ -58,8 +58,11 @@ func TestChainParallelDeterministic(t *testing.T) {
 // TestChainParallelAgreement: the sequential push sweep and the
 // parallel pull sweep at workers 2/4/8 agree within tight tolerance
 // (they differ only by floating-point reassociation of per-state
-// in-rows), and every run converges to a proper distribution.
+// in-rows), and every run converges to a proper distribution. Runs
+// capped at one part take the push sweep, so GOMAXPROCS is raised to 8
+// for every worker count to pull on any host.
 func TestChainParallelAgreement(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	_, sub := testWeb(t, 2000, 6)
 	chain := mustChain(t, sub)
 	base, err := chain.RunCtx(context.Background(), Config{Tolerance: 1e-10, Parallelism: 1})
@@ -108,6 +111,7 @@ func TestChainParallelNegativeSelectsCPUs(t *testing.T) {
 // TestChainParallelPreCancelled: a context that is already done yields
 // no result on the parallel path, wrapping the context's error.
 func TestChainParallelPreCancelled(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	_, sub := figureGraph(t)
 	chain := mustChain(t, sub)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -131,6 +135,7 @@ func TestChainParallelPreCancelled(t *testing.T) {
 // scheduling (several workers poll per iteration), so unlike the
 // sequential test only the loose contract is asserted.
 func TestChainParallelCancelledMidRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	_, sub := testWeb(t, 2000, 6)
 	chain := mustChain(t, sub)
 	res, err := chain.RunCtx(newCountdown(10), Config{Tolerance: 1e-300, MaxIterations: 50, Parallelism: 4})
@@ -196,12 +201,12 @@ func runMallocs(run func() int) (mallocs uint64, iters int) {
 	return mallocs, iters
 }
 
-// TestChainParallelAllocsFlat: runParallel spawns its worker pool once
-// per run, so a run's allocations do not grow with its iteration
+// TestChainParallelAllocsFlat: a parallel run spawns its worker pool
+// once per run, so a run's allocations do not grow with its iteration
 // count. Respawning the workers every round would allocate every
 // round. The mallocs are read from runtime.MemStats at GOMAXPROCS 2:
-// testing.AllocsPerRun pins GOMAXPROCS to 1, where the pool has one
-// part and spawns nothing.
+// testing.AllocsPerRun pins GOMAXPROCS to 1, where the run takes the
+// push sweep and spawns nothing.
 func TestChainParallelAllocsFlat(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	// A bidirectional ring with one chord, ranked over its first

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,13 +40,6 @@ import (
 	"repro/internal/numeric"
 	"repro/internal/pagerank"
 )
-
-// ctxCheckInterval is how many power-iteration steps run between
-// cancellation checks. An iteration touches every local edge, so a check
-// every few iterations bounds the post-cancellation work to a small
-// multiple of one sweep while keeping the common (never-cancelled) path
-// free of per-edge overhead.
-const ctxCheckInterval = 16
 
 // Config carries the random-walk parameters. The zero value selects the
 // paper's settings (ε = 0.85, L1 tolerance 1e-5, at most 1000 iterations,
@@ -73,14 +67,15 @@ type Config struct {
 	// still cancel through the context they pass to RunCtx).
 	Deadline time.Duration
 	// Parallelism selects the number of workers for the power iteration
-	// over the extended chain: 0 or 1 run the sequential flat sweep,
-	// k > 1 runs the pull-based parallel sweep over k edge-balanced
-	// target ranges of the chain's in-adjacency, and a negative value
-	// selects the CPU count. The parallel iterate is bit-identical
-	// across worker counts (each state's in-row is accumulated whole, in
-	// CSR order); runs are bit-deterministic for a fixed Parallelism,
-	// and agree with the sequential sweep to floating-point
-	// reassociation, far below any practical tolerance.
+	// over the extended chain: 0 or 1 run the sequential push sweep of
+	// the chain's matrix, k > 1 pulls along its transpose over
+	// min(k, GOMAXPROCS) edge-balanced target ranges, and a negative
+	// value selects the CPU count. At one effective range the run takes
+	// the push sweep, as pagerank's parallel scheme does. The parallel
+	// iterate is bit-identical across worker counts (each state's in-row
+	// is accumulated whole, in CSR order); runs are bit-deterministic for
+	// a fixed Parallelism, and agree with the sequential sweep to
+	// floating-point reassociation, far below any practical tolerance.
 	Parallelism int
 }
 
@@ -213,31 +208,18 @@ type ExtendedChain struct {
 	n     int            // local pages
 	bigN  int            // global pages
 
-	// Local block, CSR over local ids: row i transitions to locAdj[k] with
-	// probability locProb[k] for k in [locOff[i], locOff[i+1]), plus
-	// toLambda[i] into Λ. Rows of globally-dangling local pages are empty
-	// and flagged in danglingLocal instead.
-	locOff        []int64
-	locAdj        []uint32
-	locProb       []float64
-	toLambda      []float64
-	danglingLocal []bool
-	// locDang lists the locally-dangling states in ascending id order, so
-	// the per-iteration dangling-mass sum costs O(#dangling) not O(n).
-	locDang []uint32
-
-	// Λ row, sparse over local ids, plus the self-loop residual and the
-	// aggregate weight of dangling external pages (whose collapsed rows
-	// are the personalization vector).
-	lamAdj          []uint32
-	lamProb         []float64
-	lamSelf         float64
+	// m is the collapsed transition matrix over the n+1 states. Local row
+	// i lists i's local out-edges, then its edge into Λ when it has an
+	// external out-neighbour; row n lists the Λ→local entries, then Λ's
+	// self-loop when it is positive. Globally-dangling local pages have
+	// empty rows and dangling weight 1. Λ has dangling weight
+	// extDanglingMass, the E-mass of the dangling external pages, whose
+	// collapsed rows are the personalization vector.
+	m               kernel.PushCSR
 	extDanglingMass float64
 
-	// pull caches the in-adjacency (pull) form of the collapsed matrix
-	// over all n+1 states, built lazily by the first Parallelism > 1 run
-	// and reused for the chain's lifetime; sequential runs never pay for
-	// it.
+	// pull caches m's transpose, built by the first parallel run and
+	// reused for the chain's lifetime; sequential runs never pay for it.
 	pullOnce sync.Once
 	pull     *kernel.CSR
 }
@@ -257,24 +239,45 @@ func (c *ExtendedChain) Subgraph() *graph.Subgraph {
 // NumLocal returns n, the number of local pages.
 func (c *ExtendedChain) NumLocal() int { return c.n }
 
+// row splits state i's row of m into its entries for local targets and
+// its trailing entry into Λ (0 when it has none).
+func (c *ExtendedChain) row(i int) ([]uint32, []float64, float64) {
+	lo, hi := c.m.OutOff[i], c.m.OutOff[i+1]
+	adj, prob := c.m.OutDst[lo:hi], c.m.OutProb[lo:hi]
+	if k := len(adj) - 1; k >= 0 && int(adj[k]) == c.n {
+		return adj[:k], prob[:k], prob[k]
+	}
+	return adj, prob, 0
+}
+
 // LocalTransitions returns the local targets and probabilities of local
 // page i's row (excluding the Λ column). The slices alias internal storage.
 func (c *ExtendedChain) LocalTransitions(i int) ([]uint32, []float64) {
-	return c.locAdj[c.locOff[i]:c.locOff[i+1]], c.locProb[c.locOff[i]:c.locOff[i+1]]
+	adj, prob, _ := c.row(i)
+	return adj, prob
 }
 
 // ToLambda returns the probability that local page i transitions to Λ.
-func (c *ExtendedChain) ToLambda(i int) float64 { return c.toLambda[i] }
+func (c *ExtendedChain) ToLambda(i int) float64 {
+	_, _, p := c.row(i)
+	return p
+}
 
 // LambdaRow returns the sparse Λ→local transition probabilities. The
 // slices alias internal storage.
-func (c *ExtendedChain) LambdaRow() ([]uint32, []float64) { return c.lamAdj, c.lamProb }
+func (c *ExtendedChain) LambdaRow() ([]uint32, []float64) {
+	adj, prob, _ := c.row(c.n)
+	return adj, prob
+}
 
 // LambdaSelf returns the Λ→Λ transition probability contributed by
 // non-dangling external pages. The full self-loop probability of the
 // collapsed matrix additionally includes the dangling external pages'
 // uniform-jump mass: see LambdaSelfLoop.
-func (c *ExtendedChain) LambdaSelf() float64 { return c.lamSelf }
+func (c *ExtendedChain) LambdaSelf() float64 {
+	_, _, p := c.row(c.n)
+	return p
+}
 
 // ExtDanglingMass returns the total E-weight of dangling external pages.
 func (c *ExtendedChain) ExtDanglingMass() float64 { return c.extDanglingMass }
@@ -284,9 +287,10 @@ func (c *ExtendedChain) ExtDanglingMass() float64 { return c.extDanglingMass }
 // It is O(#nonzero Λ entries); intended for tests and inspection.
 func (c *ExtendedChain) LambdaTo(k int) float64 {
 	p := c.extDanglingMass / float64(c.bigN)
-	for idx, lk := range c.lamAdj {
+	adj, prob := c.LambdaRow()
+	for idx, lk := range adj {
 		if int(lk) == k {
-			p += c.lamProb[idx]
+			p += prob[idx]
 		}
 	}
 	return p
@@ -295,7 +299,7 @@ func (c *ExtendedChain) LambdaTo(k int) float64 {
 // LambdaSelfLoop returns the effective Λ→Λ entry of the collapsed
 // transition matrix, including the dangling external pages' uniform mass.
 func (c *ExtendedChain) LambdaSelfLoop() float64 {
-	return c.lamSelf + c.extDanglingMass*float64(c.bigN-c.n)/float64(c.bigN)
+	return c.LambdaSelf() + c.extDanglingMass*float64(c.bigN-c.n)/float64(c.bigN)
 }
 
 // NewApproxChain builds the ApproxRank chain for sub: external pages are
@@ -325,19 +329,15 @@ func NewApproxChainCtx(ctx *Context, sub *graph.Subgraph) (*ExtendedChain, error
 // newUniformChain builds the ApproxRank chain. inMass is the Context's
 // in-mass vector, or nil to sum each local page's in-mass on the fly.
 func newUniformChain(ctx *Context, sub *graph.Subgraph, inMass []float64) *ExtendedChain {
-	// The shell's per-page in-edge tallies go into the Λ row's own
-	// buffers, which uniformLambdaRow then compacts into the row.
-	adj, prob := make([]uint32, sub.N()), make([]float64, sub.N())
-	c := newChainShell(sub, prob, adj)
+	c := newChainShell(sub, true)
 	w := 1.0 / float64(sub.External())
-	c.uniformLambdaRow(w, inMass, prob, adj)
+	e := c.uniformLambdaRow(w, inMass)
 	// Locally-dangling pages are a subset of the global dangling set, so
 	// the external dangling count is a subtraction — O(1) given the
 	// shell, replacing the former O(global-dangling) membership scan that
 	// made chain construction scale with the GLOBAL graph.
-	extDangling := ctx.DanglingCount() - len(c.locDang)
-	c.extDanglingMass = float64(extDangling) * w
-	c.finishLambdaRow()
+	extDangling := ctx.DanglingCount() - len(c.m.DanglingIdx)
+	c.finishLambdaRow(e, float64(extDangling)*w)
 	return c
 }
 
@@ -376,8 +376,8 @@ func NewChainWithExternalScores(sub *graph.Subgraph, extScores []float64) (*Exte
 	if extSum <= 0 {
 		return nil, fmt.Errorf("core: external scores sum to zero")
 	}
-	c := newChainShell(sub, nil, nil)
-	c.buildLambdaRow(sub, func(j graph.NodeID) float64 { return extScores[j] / extSum })
+	c := newChainShell(sub, false)
+	e := c.buildLambdaRow(sub, func(j graph.NodeID) float64 { return extScores[j] / extSum })
 	extDanglingMass := 0.0
 	for gid := range extScores {
 		id := graph.NodeID(gid)
@@ -388,8 +388,7 @@ func NewChainWithExternalScores(sub *graph.Subgraph, extScores []float64) (*Exte
 			extDanglingMass += extScores[gid] / extSum
 		}
 	}
-	c.extDanglingMass = extDanglingMass
-	c.finishLambdaRow()
+	c.finishLambdaRow(e, extDanglingMass)
 	return c, nil
 }
 
@@ -404,103 +403,97 @@ func checkCtx(ctx *Context, sub *graph.Subgraph) error {
 	return nil
 }
 
-// newChainShell builds the parts shared by every chain flavour: the local
-// block with global out-degree denominators and the column into Λ.
-// localIn and localCnt are nil, or zeroed n-entry buffers: the fill pass
-// then adds to entry k the mass A[j][k] and the count of k's in-edges
-// from local pages j.
-func newChainShell(sub *graph.Subgraph, localIn []float64, localCnt []uint32) *ExtendedChain {
+// newChainShell builds the parts shared by every chain flavour: m's local
+// rows, with global out-degree denominators and the column into Λ, and
+// n+1 reserved slots for the Λ row. With tally, the fill pass adds to Λ
+// slot k the mass A[j][k] (in the probabilities) and the count (in the
+// targets) of k's in-edges from local pages j; the Λ row builders then
+// overwrite the slots.
+func newChainShell(sub *graph.Subgraph, tally bool) *ExtendedChain {
 	g := sub.Global
 	n := sub.N()
-	c := &ExtendedChain{
-		g:             g,
-		local:         sub.Local,
-		n:             n,
-		bigN:          g.NumNodes(),
-		locOff:        make([]int64, n+1),
-		toLambda:      make([]float64, n),
-		danglingLocal: make([]bool, n),
-	}
-	// First pass: count local→local edges for the CSR.
+	// First pass: row lengths — the local out-neighbours, plus one entry
+	// into Λ when any out-neighbour is external — and the dangling count.
+	off := make([]int64, n+2)
+	nd := 0
 	for li, gid := range sub.Local {
-		if g.Dangling(gid) {
-			c.danglingLocal[li] = true
-			continue
-		}
 		cnt := 0
-		for _, v := range g.OutNeighbors(gid) {
-			if sub.Member.Contains(v) {
+		if g.Dangling(gid) {
+			nd++
+		} else {
+			adj := g.OutNeighbors(gid)
+			for _, v := range adj {
+				if sub.Member.Contains(v) {
+					cnt++
+				}
+			}
+			if cnt < len(adj) {
 				cnt++
 			}
 		}
-		c.locOff[li+1] = int64(cnt)
+		off[li+1] = off[li] + int64(cnt)
 	}
-	nd := 0
-	for _, d := range c.danglingLocal {
-		if d {
-			nd++
-		}
-	}
+	off[n+1] = off[n] + int64(n) + 1
+	dst := make([]uint32, off[n+1])
+	prob := make([]float64, off[n+1])
+	var dang []uint32
 	if nd > 0 {
-		c.locDang = make([]uint32, 0, nd)
-		for i, d := range c.danglingLocal {
-			if d {
-				c.locDang = append(c.locDang, uint32(i))
-			}
-		}
+		dang = make([]uint32, 0, nd+1) // a spare slot for Λ
 	}
-	for i := 0; i < n; i++ {
-		c.locOff[i+1] += c.locOff[i]
-	}
-	c.locAdj = make([]uint32, c.locOff[n])
-	c.locProb = make([]float64, c.locOff[n])
+	lamCnt, lamIn := dst[off[n]:], prob[off[n]:]
 	// Second pass: fill probabilities using the GLOBAL out-degree (or
 	// total out-weight) as denominator — the paper's A entries.
-	cursor := make([]int64, n)
-	copy(cursor, c.locOff[:n])
+	k := int64(0)
 	for li, gid := range sub.Local {
-		if c.danglingLocal[li] {
+		if g.Dangling(gid) {
+			dang = append(dang, uint32(li))
 			continue
 		}
 		wout := g.WeightOut(gid)
-		adj := g.OutNeighbors(gid)
 		ws := g.OutWeights(gid)
 		extProb := 0.0
 		unit := 1.0 / wout
-		for k, v := range adj {
+		for j, v := range g.OutNeighbors(gid) {
 			p := unit
 			if ws != nil {
-				p = ws[k] / wout
+				p = ws[j] / wout
 			}
 			if lv, local := sub.LocalID(v); local {
-				slot := cursor[li]
-				c.locAdj[slot] = lv
-				c.locProb[slot] = p
-				cursor[li]++
-				if localIn != nil {
-					localIn[lv] += p
-					localCnt[lv]++
+				dst[k], prob[k] = lv, p
+				k++
+				if tally {
+					lamIn[lv] += p
+					lamCnt[lv]++
 				}
 			} else {
 				extProb += p
 			}
 		}
-		c.toLambda[li] = extProb
+		if k < off[li+1] { // the row's last slot is its edge into Λ
+			dst[k], prob[k] = uint32(n), extProb
+			k++
+		}
 	}
-	return c
+	return &ExtendedChain{g: g, local: sub.Local, n: n, bigN: g.NumNodes(),
+		m: kernel.PushCSR{N: n + 1, OutOff: off, OutDst: dst, OutProb: prob, DanglingIdx: dang}}
 }
 
-// buildLambdaRow fills the sparse Λ→local entries: for each local page k,
-// the sum over its external in-neighbours j of weight(j)·A[j][k]. weight
-// must return the normalized E entry for an external page. It serves
-// non-uniform E; uniform E takes uniformLambdaRow.
-func (c *ExtendedChain) buildLambdaRow(sub *graph.Subgraph, weight func(graph.NodeID) float64) {
+// lambdaSlots returns the Λ row's reserved slots, before finishLambdaRow
+// trims them to the row.
+func (c *ExtendedChain) lambdaSlots() ([]uint32, []float64) {
+	lo := c.m.OutOff[c.n]
+	return c.m.OutDst[lo:], c.m.OutProb[lo:]
+}
+
+// buildLambdaRow writes the sparse Λ→local entries into the Λ slots and
+// returns their count: for each local page k, the sum over its external
+// in-neighbours j of weight(j)·A[j][k]. weight must return the
+// normalized E entry for an external page. It serves non-uniform E;
+// uniform E takes uniformLambdaRow.
+func (c *ExtendedChain) buildLambdaRow(sub *graph.Subgraph, weight func(graph.NodeID) float64) int {
 	g := c.g
-	// Presized for the dense worst case (every local page has an external
-	// in-neighbour) so the appends never reallocate — the doubling growth
-	// here used to dominate chain-construction allocations.
-	adj := make([]uint32, 0, c.n)
-	prob := make([]float64, 0, c.n)
+	adj, prob := c.lambdaSlots()
+	e := 0
 	for li, gid := range c.local {
 		ins := g.InNeighbors(gid)
 		ws := g.InWeights(gid)
@@ -516,26 +509,28 @@ func (c *ExtendedChain) buildLambdaRow(sub *graph.Subgraph, weight func(graph.No
 			p += weight(j) * aj
 		}
 		if p > 0 {
-			adj = append(adj, uint32(li))
-			prob = append(prob, p)
+			adj[e], prob[e] = uint32(li), p
+			e++
 		}
 	}
-	c.setLambdaRow(adj, prob)
+	return e
 }
 
-// uniformLambdaRow fills the Λ row for uniform E weight w without reading
-// an external in-neighbour. With inMass[k] = Σ_{j→k} A[j][k], the entry
-// of local page k is w·(inMass[k] − localIn[k]), where localIn[k] and
-// localCnt[k] are the mass and count of k's in-edges from local pages
-// (newChainShell's fill pass). Page k has an entry iff it has an
-// external in-neighbour, an exact integer test; the subtraction is
-// clamped at zero against rounding. inMass is indexed by global id; nil
-// sums each local page's in-mass from its in-row instead.
+// uniformLambdaRow writes the Λ row for uniform E weight w without
+// reading an external in-neighbour, and returns its entry count. With
+// inMass[k] = Σ_{j→k} A[j][k], the entry of local page k is
+// w·(inMass[k] − localIn[k]), where localIn[k] and localCnt[k] are the
+// mass and count of k's in-edges from local pages, tallied into Λ slot k
+// by newChainShell. Page k has an entry iff it has an external
+// in-neighbour, an exact integer test; the subtraction is clamped at zero
+// against rounding. inMass is indexed by global id; nil sums each local
+// page's in-mass from its in-row instead.
 //
-// The row is compacted over localIn and localCnt in place: entry e is
-// written at index e ≤ k only after page k's tallies are read.
-func (c *ExtendedChain) uniformLambdaRow(w float64, inMass, localIn []float64, localCnt []uint32) {
+// The row is compacted over the tallies in place: entry e is written at
+// slot e ≤ k only after page k's tallies are read.
+func (c *ExtendedChain) uniformLambdaRow(w float64, inMass []float64) int {
 	g := c.g
+	localCnt, localIn := c.lambdaSlots()
 	e := 0
 	for li, gid := range c.local {
 		in, cnt := localIn[li], localCnt[li]
@@ -555,31 +550,38 @@ func (c *ExtendedChain) uniformLambdaRow(w float64, inMass, localIn []float64, l
 		localCnt[e], localIn[e] = uint32(li), w*d
 		e++
 	}
-	c.setLambdaRow(localCnt[:e], localIn[:e])
+	return e
 }
 
-// setLambdaRow stores the Λ row, compacting it when it turned out sparse
-// so long-lived chains don't pin 2n of capacity.
-func (c *ExtendedChain) setLambdaRow(adj []uint32, prob []float64) {
-	if len(adj)*2 < c.n {
-		adj = append(make([]uint32, 0, len(adj)), adj...)
-		prob = append(make([]float64, 0, len(prob)), prob...)
-	}
-	c.lamAdj, c.lamProb = adj, prob
-}
-
-// finishLambdaRow sets the Λ self-loop to the stochastic residual of the
-// Λ row: the unit E mass minus the dangling mass minus the sparse entries.
-// Tiny negative residuals from float accumulation are clamped to zero.
-func (c *ExtendedChain) finishLambdaRow() {
-	s := 1.0 - c.extDanglingMass
-	for _, p := range c.lamProb {
+// finishLambdaRow closes the Λ row's e entries with Λ's self-loop: the
+// stochastic residual of the row, i.e. the unit E mass minus the
+// dangling mass minus the sparse entries. Tiny negative residuals from
+// float accumulation are clamped to zero, which drops the loop. Λ joins
+// the dangling states with weight extDanglingMass when that is positive.
+func (c *ExtendedChain) finishLambdaRow(e int, extDanglingMass float64) {
+	n := c.n
+	adj, prob := c.lambdaSlots()
+	s := 1.0 - extDanglingMass
+	for _, p := range prob[:e] {
 		s -= p
 	}
-	if s < 0 {
-		s = 0
+	if s > 0 {
+		adj[e], prob[e] = uint32(n), s
+		e++
 	}
-	c.lamSelf = s
+	end := c.m.OutOff[n] + int64(e)
+	c.m.OutOff[n+1] = end
+	c.m.OutDst, c.m.OutProb = c.m.OutDst[:end], c.m.OutProb[:end]
+	c.extDanglingMass = extDanglingMass
+	if extDanglingMass > 0 {
+		w := make([]float64, len(c.m.DanglingIdx)+1)
+		for i := range w {
+			w[i] = 1
+		}
+		w[len(w)-1] = extDanglingMass
+		c.m.DanglingIdx = append(c.m.DanglingIdx, uint32(n))
+		c.m.DanglingW = w
+	}
 }
 
 // Run performs the power iteration R = ε·A_eᵀ·R + (1−ε)·P_ideal on the
@@ -590,12 +592,11 @@ func (c *ExtendedChain) Run(cfg Config) (*Result, error) {
 	return c.RunCtx(context.Background(), cfg)
 }
 
-// RunCtx is Run under a context: the iteration checks ctx every
-// ctxCheckInterval steps (every iteration's barrier when Parallelism >
-// 1) and, when cancelled (or when cfg.Deadline expires), returns nil
-// and ctx's error wrapped with the iteration reached. No partial scores
-// are returned — an unconverged iterate is not a distribution anyone
-// should serve.
+// RunCtx is Run under a context: the iteration checks ctx after every
+// step (kernel.Iterate) and, when cancelled (or when cfg.Deadline
+// expires), returns nil and ctx's error wrapped with the iteration
+// reached. No partial scores are returned — an unconverged iterate is
+// not a distribution anyone should serve.
 //
 // All iteration buffers are drawn from the shared kernel pools and
 // recycled on return, so steady-state runs — e.g. a RankManyCtx batch —
@@ -650,75 +651,58 @@ func (c *ExtendedChain) RunCtx(ctx context.Context, cfg Config) (*Result, error)
 		}
 	}
 
-	if cfg.Parallelism > 1 {
-		return c.runParallel(ctx, cfg, pvec, start)
-	}
-
+	// Both sweeps redistribute dangling mass along pvec: the collapsed
+	// chain's dangling rows are the personalization vector by
+	// construction. cur and next swap names each step, but the defer
+	// arguments are evaluated here, so both backing arrays return to the
+	// pool whichever name they end under.
 	eps := cfg.Epsilon
-	// cur and next swap names each iteration, but the defer arguments are
-	// evaluated here, so both backing arrays return to the pool whichever
-	// name they end under — and no closure is allocated to capture them.
 	cur := kernel.GetVec(n + 1)
 	next := kernel.GetVec(n + 1)
-	deltas := kernel.GetVec(cfg.MaxIterations)
 	defer kernel.PutVec(cur)
 	defer kernel.PutVec(next)
-	defer kernel.PutVec(deltas)
 	copy(cur, pvec)
-
-	res := &Result{}
-	for iter := 1; iter <= cfg.MaxIterations; iter++ {
-		if iter%ctxCheckInterval == 1 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: power iteration cancelled at iteration %d: %w", iter-1, err)
-			}
-		}
-		// Mass that redistributes along the personalization vector: the
-		// random-jump mass, the mass on dangling local pages, and the mass
-		// Λ forwards on behalf of dangling external pages.
-		danglingMass := 0.0
-		for _, i := range c.locDang {
-			danglingMass += cur[i]
-		}
-		jump := (1 - eps) + eps*danglingMass + eps*cur[n]*c.extDanglingMass
-		for i := 0; i <= n; i++ {
-			next[i] = jump * pvec[i]
-		}
-
-		// Local rows.
-		for i := 0; i < n; i++ {
-			if c.danglingLocal[i] || cur[i] == 0 {
-				continue
-			}
-			xi := eps * cur[i]
-			for k := c.locOff[i]; k < c.locOff[i+1]; k++ {
-				next[c.locAdj[k]] += xi * c.locProb[k]
-			}
-			next[n] += xi * c.toLambda[i]
-		}
-
-		// Λ row (non-dangling part; the dangling part went into jump).
-		xl := eps * cur[n]
-		for k, li := range c.lamAdj {
-			next[li] += xl * c.lamProb[k]
-		}
-		next[n] += xl * c.lamSelf
-
-		delta := 0.0
-		for i := 0; i <= n; i++ {
-			delta += math.Abs(next[i] - cur[i])
-		}
-		deltas[res.Iterations] = delta
-		res.Iterations = iter
-		cur, next = next, cur
-		if delta < cfg.Tolerance {
-			res.Converged = true
-			break
-		}
+	// Parallel runs pull along m's transpose with a kernel.SweepPool
+	// spawned once per run, each worker owning a disjoint
+	// edge-count-balanced range of target states: no reduction pass, and
+	// an iterate bit-identical across worker counts. Parts beyond
+	// GOMAXPROCS cannot run concurrently, and at one part the push sweep
+	// is faster.
+	var pull *kernel.CSR
+	var pool *kernel.SweepPool
+	var bounds []int
+	if parts := min(cfg.Parallelism, runtime.GOMAXPROCS(0)); parts > 1 {
+		pull = c.pullCSR()
+		bounds = kernel.PartitionByEdges(pull.InOff, parts)
+		pool = kernel.NewSweepPool(len(bounds) - 1)
+		defer pool.Close()
 	}
-
-	finishChainResult(res, cur, deltas[:res.Iterations], n, start)
+	deltas, converged, err := kernel.Iterate(ctx, cfg.MaxIterations, cfg.Tolerance, func() float64 {
+		var delta float64
+		if pool != nil {
+			delta = pool.Sweep(ctx, pull, next, cur, pvec, pvec, eps, pull.DanglingMass(cur), bounds)
+		} else {
+			delta = c.m.Sweep(next, cur, pvec, pvec, eps, c.m.DanglingMass(cur))
+		}
+		cur, next = next, cur
+		return delta
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: power iteration %w", err)
+	}
+	res := &Result{Lambda: cur[n]}
+	res.Scores = make([]float64, n)
+	copy(res.Scores, cur[:n])
+	res.Deltas, res.Iterations, res.Converged = deltas, len(deltas), converged
+	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// pullCSR returns m's transpose, building it on first use: O(states +
+// edges), at most once per chain, so only parallel runs pay for it.
+func (c *ExtendedChain) pullCSR() *kernel.CSR {
+	c.pullOnce.Do(func() { c.pull = c.m.Pull() })
+	return c.pull
 }
 
 // ApproxRank ranks sub with uniform external weights. It is the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -99,7 +100,7 @@ func TestChainRowsStochastic(t *testing.T) {
 		chains["ideal"] = ic
 		for name, c := range chains {
 			for i := 0; i < c.NumLocal(); i++ {
-				if c.danglingLocal[i] {
+				if slices.Contains(c.m.DanglingIdx, uint32(i)) {
 					continue // row handled by the dangling mechanism
 				}
 				_, prob := c.LocalTransitions(i)

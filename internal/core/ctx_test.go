@@ -63,10 +63,10 @@ func TestRunCtxCancelledMidIteration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewApproxChain: %v", err)
 	}
-	// Allow exactly one periodic check to pass, so the cancellation lands
-	// at the second check: iteration ctxCheckInterval+1. The tolerance is
-	// unreachably small so the run cannot converge first.
-	res, err := chain.RunCtx(newCountdown(1), Config{Tolerance: 1e-300, MaxIterations: 10 * ctxCheckInterval})
+	// Allow exactly one check to pass, so the cancellation lands at the
+	// second check, after step 2, with one iteration complete. The
+	// tolerance is unreachably small so the run cannot converge first.
+	res, err := chain.RunCtx(newCountdown(1), Config{Tolerance: 1e-300, MaxIterations: 160})
 	if err == nil {
 		t.Fatal("cancelled run converged")
 	}
@@ -76,9 +76,8 @@ func TestRunCtxCancelledMidIteration(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v does not wrap context.Canceled", err)
 	}
-	want := fmt.Sprintf("iteration %d", ctxCheckInterval)
-	if !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not report %s", err, want)
+	if want := "core: power iteration cancelled at iteration 1: "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q does not start %q", err, want)
 	}
 }
 
@@ -109,8 +108,8 @@ func TestConfigDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewApproxChain: %v", err)
 	}
-	// A deadline that has effectively already passed: the first periodic
-	// check (iteration 1) must see it.
+	// A deadline that has effectively already passed: the first check
+	// (after step 1) must see it.
 	_, err = chain.Run(Config{Deadline: time.Nanosecond, Tolerance: 0, MaxIterations: 1000})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)

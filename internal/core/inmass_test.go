@@ -16,11 +16,10 @@ import (
 // non-uniform chain is built: buildLambdaRow walks each local page's
 // in-edges and weights every external in-neighbour by the uniform E.
 func oracleApproxChain(ctx *Context, sub *graph.Subgraph) *ExtendedChain {
-	c := newChainShell(sub, nil, nil)
+	c := newChainShell(sub, false)
 	w := 1.0 / float64(sub.External())
-	c.buildLambdaRow(sub, func(graph.NodeID) float64 { return w })
-	c.extDanglingMass = float64(ctx.DanglingCount()-len(c.locDang)) * w
-	c.finishLambdaRow()
+	e := c.buildLambdaRow(sub, func(graph.NodeID) float64 { return w })
+	c.finishLambdaRow(e, float64(ctx.DanglingCount()-len(c.m.DanglingIdx))*w)
 	return c
 }
 

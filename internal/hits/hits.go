@@ -12,11 +12,13 @@
 package hits
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/kernel"
 	"repro/internal/numeric"
 )
 
@@ -75,8 +77,7 @@ func Compute(g *graph.Graph, cfg Config) (*Result, error) {
 	newAuth := make([]float64, n)
 	newHub := make([]float64, n)
 
-	res := &Result{}
-	for iter := 1; iter <= cfg.MaxIterations; iter++ {
+	deltas, converged, err := kernel.Iterate(context.Background(), cfg.MaxIterations, cfg.Tolerance, func() float64 {
 		authSweep(g, newAuth, hub)
 		normalize(newAuth)
 		// The hub update uses the fresh authorities — the standard
@@ -90,16 +91,13 @@ func Compute(g *graph.Graph, cfg Config) (*Result, error) {
 		}
 		auth, newAuth = newAuth, auth
 		hub, newHub = newHub, hub
-		res.Iterations = iter
-		if delta < cfg.Tolerance {
-			res.Converged = true
-			break
-		}
+		return delta
+	})
+	if err != nil {
+		return nil, fmt.Errorf("hits: %w", err)
 	}
-	res.Authorities = auth
-	res.Hubs = hub
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return &Result{Authorities: auth, Hubs: hub, Iterations: len(deltas), Converged: converged,
+		Elapsed: time.Since(start)}, nil
 }
 
 // authSweep computes one authority update, auth ← Aᵀ·hub: each state

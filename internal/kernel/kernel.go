@@ -1,7 +1,7 @@
 // Package kernel is the flat power-iteration substrate shared by the
 // ranking engines: a one-time snapshot of any directed graph into frozen
-// CSR slices, plus the pull-based sweep primitives the pagerank and core
-// packages build their convergence loops on.
+// CSR slices, the push and pull sweeps over them, and Iterate, the one
+// convergence loop every engine runs its sweeps under.
 //
 // The snapshot freezes three things the per-iteration hot loops would
 // otherwise recompute through an interface seam:
@@ -28,6 +28,8 @@
 // hubs), while PartitionByEdges bounds every worker's per-iteration work
 // by edges + nodes in its range.
 package kernel
+
+import "math"
 
 // Source is the view of a directed graph a snapshot is built from.
 // pagerank.DirectedGraph satisfies it structurally; *graph.Graph
@@ -59,7 +61,7 @@ type FlatInSource interface {
 // CSR is a frozen pull-oriented snapshot of a transition matrix: for
 // each target v, the sources that contribute to it and the transition
 // probability of each contributing edge. Immutable after Snapshot (or
-// hand-assembly by the core package); safe for concurrent readers.
+// PushCSR.Pull); safe for concurrent readers.
 type CSR struct {
 	// N is the number of states.
 	N int
@@ -207,7 +209,7 @@ func snapshotAliased(src FlatInSource, off []int64, srcs []uint32) *CSR {
 }
 
 // Release returns a pooled snapshot's slices to the package pools. The
-// snapshot must not be used afterwards. No-op for hand-assembled CSRs.
+// snapshot must not be used afterwards. No-op for a PushCSR.Pull result.
 func (c *CSR) Release() {
 	if !c.poolOff && !c.poolSrc && !c.poolProb && !c.poolDang && !c.poolInv {
 		return
@@ -289,11 +291,7 @@ func (c *CSR) SweepRange(next, cur, p, d []float64, lo, hi int, eps, danglingMas
 		}
 		x := base*p[v] + jump*d[v] + eps*s
 		next[v] = x
-		d1 := x - cur[v]
-		if d1 < 0 {
-			d1 = -d1
-		}
-		delta += d1
+		delta += math.Abs(x - cur[v])
 	}
 	return delta
 }
@@ -353,11 +351,7 @@ func (c *CSR) SweepRangeScaled(next, scaled, cur, p, d []float64, lo, hi int, ep
 		}
 		x := base*p[v] + jump*d[v] + eps*s
 		next[v] = x
-		d1 := x - cur[v]
-		if d1 < 0 {
-			d1 = -d1
-		}
-		delta += d1
+		delta += math.Abs(x - cur[v])
 	}
 	return delta
 }

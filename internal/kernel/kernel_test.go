@@ -81,28 +81,33 @@ func uniformVec(n int) []float64 {
 	return p
 }
 
-// TestSnapshotSweepMatchesPush: a pull sweep over the snapshot computes
-// the same next vector as the push oracle (up to float reassociation),
-// on unweighted and weighted graphs with dangling nodes.
+// TestSnapshotSweepMatchesPush: a pull sweep over the snapshot, and
+// one over the transpose of the push snapshot, compute the same next
+// vector as the push oracle (up to float reassociation), on unweighted
+// and weighted graphs with dangling nodes.
 func TestSnapshotSweepMatchesPush(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(t, rng, 60+trial*17, trial%2 == 1)
 		n := g.NumNodes()
 		c := Snapshot(g)
+		push := PushSnapshot(g)
 		cur := make([]float64, n)
 		for i := range cur {
 			cur[i] = rng.Float64()
 		}
 		p := uniformVec(n)
 		want := pushReference(g, cur, p, p, 0.85)
-		next := make([]float64, n)
-		c.Sweep(next, cur, p, p, 0.85, c.DanglingMass(cur))
-		for v := 0; v < n; v++ {
-			if math.Abs(next[v]-want[v]) > 1e-12 {
-				t.Fatalf("trial %d: next[%d] = %v, push reference %v", trial, v, next[v], want[v])
+		for name, pull := range map[string]*CSR{"snapshot": c, "push transpose": push.Pull()} {
+			next := make([]float64, n)
+			pull.Sweep(next, cur, p, p, 0.85, pull.DanglingMass(cur))
+			for v := 0; v < n; v++ {
+				if math.Abs(next[v]-want[v]) > 1e-12 {
+					t.Fatalf("trial %d %s: next[%d] = %v, push reference %v", trial, name, v, next[v], want[v])
+				}
 			}
 		}
+		push.Release()
 		c.Release()
 	}
 }
@@ -276,12 +281,18 @@ func TestPartitionByEdges(t *testing.T) {
 	}
 }
 
-// TestDanglingWeights: fractional dangling weights scale the mass.
+// TestDanglingWeights: fractional dangling weights scale the mass, on
+// both snapshot kinds.
 func TestDanglingWeights(t *testing.T) {
 	c := &CSR{N: 3, InOff: []int64{0, 0, 0, 0}, DanglingIdx: []uint32{0, 2}, DanglingW: []float64{1, 0.25}}
+	push := &PushCSR{N: 3, OutOff: []int64{0, 0, 0, 0}, DanglingIdx: c.DanglingIdx, DanglingW: c.DanglingW}
 	cur := []float64{0.4, 0.4, 0.2}
-	if got, want := c.DanglingMass(cur), 0.4+0.25*0.2; math.Abs(got-want) > 1e-15 {
-		t.Fatalf("DanglingMass = %v, want %v", got, want)
+	want := 0.4 + 0.25*0.2
+	if got := c.DanglingMass(cur); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("CSR.DanglingMass = %v, want %v", got, want)
+	}
+	if got := push.DanglingMass(cur); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("PushCSR.DanglingMass = %v, want %v", got, want)
 	}
 }
 

@@ -1,5 +1,7 @@
 package kernel
 
+import "math"
+
 // PushCSR is the out-adjacency mirror of CSR, used by the SEQUENTIAL
 // power-iteration paths. Push and pull visit the same edges, but their
 // random accesses land differently in the pipeline: a pull sweep's
@@ -11,7 +13,8 @@ package kernel
 // about twice as fast per iteration single-threaded. Pull remains the
 // only shape that parallelizes without shared accumulators (each worker
 // owns a disjoint output range), so the engines pair a PushCSR
-// sequential path with a CSR parallel path.
+// sequential path with a CSR parallel path; Pull transposes the one into
+// the other.
 type PushCSR struct {
 	// N is the number of states.
 	N int
@@ -27,9 +30,11 @@ type PushCSR struct {
 	// nil when OutProb carries per-edge probabilities.
 	InvOut []float64
 	// DanglingIdx lists the states whose mass redistributes along the
-	// dangling distribution each step (always weight 1 here; fractional
-	// dangling weights only occur on the hand-assembled pull chains).
+	// dangling distribution each step. DanglingW carries each state's
+	// dangling weight, as on CSR; nil means weight 1 for every listed
+	// state (every snapshot of a plain graph).
 	DanglingIdx []uint32
+	DanglingW   []float64
 
 	poolOff, poolDst, poolProb, poolInv, poolDang bool
 }
@@ -155,17 +160,24 @@ func (c *PushCSR) Release() {
 	if c.poolDang {
 		PutIDs(c.DanglingIdx)
 	}
-	c.OutOff, c.OutDst, c.OutProb, c.InvOut, c.DanglingIdx = nil, nil, nil, nil, nil
+	c.OutOff, c.OutDst, c.OutProb, c.InvOut, c.DanglingIdx, c.DanglingW = nil, nil, nil, nil, nil, nil
 	c.poolOff, c.poolDst, c.poolProb, c.poolInv, c.poolDang = false, false, false, false, false
 }
 
-// DanglingMass returns the score mass sitting on the dangling states.
+// DanglingMass returns the weighted score mass sitting on the dangling
+// states: Σ w_i·cur[i] over DanglingIdx.
 //
 //arlint:hot
 func (c *PushCSR) DanglingMass(cur []float64) float64 {
 	s := 0.0
-	for _, u := range c.DanglingIdx {
-		s += cur[u]
+	if c.DanglingW == nil {
+		for _, u := range c.DanglingIdx {
+			s += cur[u]
+		}
+	} else {
+		for k, u := range c.DanglingIdx {
+			s += c.DanglingW[k] * cur[u]
+		}
 	}
 	return s
 }
@@ -216,11 +228,44 @@ func (c *PushCSR) Sweep(next, cur, p, d []float64, eps, danglingMass float64) fl
 	}
 	delta := 0.0
 	for v := 0; v < n; v++ {
-		d1 := next[v] - cur[v]
-		if d1 < 0 {
-			d1 = -d1
-		}
-		delta += d1
+		delta += math.Abs(next[v] - cur[v])
 	}
 	return delta
+}
+
+// Pull returns the transpose of c as a pull CSR: row v lists every edge
+// u→v with its probability, sources ascending and, within one source,
+// in c's row order, so a pull sweep over it computes c's matrix. The
+// result is heap-allocated, not pooled, and shares c's dangling list
+// and weights: it must not outlive a Released c.
+func (c *PushCSR) Pull() *CSR {
+	n := c.N
+	m := c.OutOff[n]
+	dst := c.OutDst[:m]
+	// Count each target's in-edges at off[v+1], turn the counts into row
+	// starts shifted by one, then fill: off[v+1] advances from v's start
+	// to its end, which is where the next row starts.
+	off := make([]int64, n+1)
+	for _, v := range dst {
+		off[v+1]++
+	}
+	var at int64
+	for v := 1; v <= n; v++ {
+		at, off[v] = at+off[v], at
+	}
+	srcs := make([]uint32, m)
+	prob := make([]float64, m)
+	for u := 0; u < n; u++ {
+		for k := c.OutOff[u]; k < c.OutOff[u+1]; k++ {
+			slot := off[dst[k]+1]
+			off[dst[k]+1]++
+			srcs[slot] = uint32(u)
+			if c.OutProb != nil {
+				prob[slot] = c.OutProb[k]
+			} else {
+				prob[slot] = c.InvOut[u]
+			}
+		}
+	}
+	return &CSR{N: n, InOff: off, InSrc: srcs, InProb: prob, DanglingIdx: c.DanglingIdx, DanglingW: c.DanglingW}
 }

@@ -32,7 +32,7 @@ type sweepJob struct {
 
 // sweepPart runs the job's range for worker w, or nothing when the
 // round's context is already cancelled (the early-out half of the
-// ParallelSweep contract the pool inherits).
+// pool's cancellation contract).
 func (job *sweepJob) sweepPart(w int) float64 {
 	if job.ctx.Err() != nil {
 		return 0 // cancelled: skip the range scan, the barrier still holds
@@ -62,10 +62,10 @@ func (job *sweepJob) sweepPart(w int) float64 {
 // the barrier, so for a fixed partition the result is bit-identical
 // to the sequential sweep's part-ordered reduction.
 //
-// Cancellation follows the same contract as the one-shot sweeps had:
-// a cancelled context makes workers skip their range scan, leaving
-// next stale — callers MUST check ctx.Err() after the round before
-// trusting next or the returned delta.
+// Cancellation: a cancelled context makes workers skip their range
+// scan, leaving next stale, so ctx.Err() must be checked after the
+// round before next or the returned delta is trusted. A round run as
+// an Iterate step gets that check from Iterate's per-step poll.
 //
 // A SweepPool is NOT safe for concurrent rounds: one Sweep at a time.
 type SweepPool struct {

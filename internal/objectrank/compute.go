@@ -1,11 +1,12 @@
 package objectrank
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/kernel"
 	"repro/internal/numeric"
 )
 
@@ -82,71 +83,44 @@ func Compute(d *DataGraph, baseSet []graph.NodeID, cfg Config) (*Result, error) 
 		}
 	}
 
-	// Precompute per-edge weights grouped by source for the push sweep.
-	out := make([][]outEdge, n)
+	// The transfer matrix as a kernel push snapshot with no dangling
+	// states, so a sweep computes (1−ε)·q + ε·Aᵀ·cur. Rows keep the
+	// edges' order: off[u+1] counts u's edges, then holds u's row start
+	// and advances to its end as the row fills.
+	off := make([]int64, n+1)
+	for _, e := range d.edges {
+		off[e.from+1]++
+	}
+	var at int64
+	for u := 1; u <= n; u++ {
+		at, off[u] = at+off[u], at
+	}
+	a := kernel.PushCSR{N: n, OutOff: off,
+		OutDst: make([]uint32, len(d.edges)), OutProb: make([]float64, len(d.edges))}
 	for _, e := range d.edges {
 		w, err := d.transferWeight(e)
 		if err != nil {
 			return nil, err
 		}
-		out[e.from] = append(out[e.from], outEdge{e.to, w})
+		k := off[e.from+1]
+		off[e.from+1]++
+		a.OutDst[k], a.OutProb[k] = e.to, w
 	}
 
 	start := time.Now()
 	cur := make([]float64, n)
 	copy(cur, q)
 	next := make([]float64, n)
-	res := &Result{}
 	eps := cfg.Epsilon
-	for iter := 1; iter <= cfg.MaxIterations; iter++ {
-		delta := pushSweep(next, cur, q, out, eps)
+	deltas, converged, err := kernel.Iterate(context.Background(), cfg.MaxIterations, cfg.Tolerance, func() float64 {
+		delta := a.Sweep(next, cur, q, q, eps, 0)
 		cur, next = next, cur
-		res.Iterations = iter
-		if delta < cfg.Tolerance {
-			res.Converged = true
-			break
-		}
+		return delta
+	})
+	if err != nil {
+		return nil, fmt.Errorf("objectrank: %w", err)
 	}
-	res.Scores = cur
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// outEdge is one precomputed transfer edge of the push sweep: target
-// object and authority-transfer weight, grouped by source.
-type outEdge struct {
-	to graph.NodeID
-	w  float64
-}
-
-// pushSweep computes one ObjectRank iteration,
-//
-//	next[v] = (1−eps)·q[v] + eps·Σ_{u→v} cur[u]·w(u→v),
-//
-// by pushing each object's scaled score along its precomputed out-edges,
-// and returns the L1 delta to the previous iterate. Sources with no mass
-// or no edges skip their row.
-//
-//arlint:hot
-func pushSweep(next, cur, q []float64, out [][]outEdge, eps float64) float64 {
-	n := len(next)
-	for v := 0; v < n; v++ {
-		next[v] = (1 - eps) * q[v]
-	}
-	for u := 0; u < n; u++ {
-		if cur[u] == 0 || len(out[u]) == 0 {
-			continue
-		}
-		xu := eps * cur[u]
-		for _, e := range out[u] {
-			next[e.to] += xu * e.w
-		}
-	}
-	delta := 0.0
-	for i := 0; i < n; i++ {
-		delta += math.Abs(next[i] - cur[i])
-	}
-	return delta
+	return &Result{Scores: cur, Iterations: len(deltas), Converged: converged, Elapsed: time.Since(start)}, nil
 }
 
 // ComputeQuery is Compute seeded by the keyword base set of query. It

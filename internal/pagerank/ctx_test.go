@@ -79,11 +79,12 @@ func TestComputeCtxCancellation(t *testing.T) {
 		t.Run(s.name+"/mid-run", func(t *testing.T) {
 			opts := s.opts
 			opts.Tolerance = 1e-300
-			opts.MaxIterations = 50 * ctxCheckInterval
-			// One check passes, the second cancels: iteration 17 for the
-			// sequential schemes, earlier for the parallel one (its workers
-			// also poll before each chunk). Either way the run is abandoned
-			// long before gauss-seidel can bottom out at an exact-zero delta.
+			opts.MaxIterations = 800
+			// One check passes, the second cancels: after iteration 2 for
+			// the sequential schemes, earlier for the parallel one (its
+			// workers also poll before each chunk). Either way the run is
+			// abandoned long before gauss-seidel can bottom out at an
+			// exact-zero delta.
 			res, err := ComputeCtx(newCountdown(1), g, opts)
 			if err == nil || res != nil {
 				t.Fatalf("res=%v err=%v, want nil result and an error", res, err)

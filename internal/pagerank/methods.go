@@ -2,7 +2,6 @@ package pagerank
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"time"
 
@@ -29,9 +28,7 @@ func computeGaussSeidel(ctx context.Context, g DirectedGraph, opts Options) (*Re
 	defer kernel.PutVec(pooled)
 
 	x := kernel.GetVec(n)
-	deltas := kernel.GetVec(opts.MaxIterations)
 	defer kernel.PutVec(x)
-	defer kernel.PutVec(deltas)
 	initStart(x, p, &opts)
 
 	// Dense dangling membership for the in-place mass update (the sweep
@@ -42,15 +39,9 @@ func computeGaussSeidel(ctx context.Context, g DirectedGraph, opts Options) (*Re
 	}
 
 	eps := opts.Epsilon
-	res := &Result{}
 	danglingMass := csr.DanglingMass(x)
 	off, srcs, prob := csr.InOff, csr.InSrc, csr.InProb
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
-		if iter%ctxCheckInterval == 1 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("pagerank: cancelled at iteration %d: %w", iter-1, err)
-			}
-		}
+	deltas, converged, err := iterate(ctx, &opts, func() float64 {
 		delta := 0.0
 		for v := 0; v < n; v++ {
 			s := 0.0
@@ -65,16 +56,12 @@ func computeGaussSeidel(ctx context.Context, g DirectedGraph, opts Options) (*Re
 			}
 			x[v] = acc
 		}
-		deltas[res.Iterations] = delta
-		res.Iterations = iter
-		if delta < opts.Tolerance {
-			res.Converged = true
-			break
-		}
+		return delta
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	finishResult(res, x, deltas[:res.Iterations], start)
-	return res, nil
+	return finishResult(x, deltas, converged, start), nil
 }
 
 // computeAdaptive runs the power iteration with adaptive freezing (Kamvar
@@ -121,15 +108,7 @@ func computeAdaptive(ctx context.Context, g DirectedGraph, opts Options) (*Resul
 
 	threshold := opts.AdaptiveFreeze / float64(n)
 	eps := opts.Epsilon
-	res := &Result{}
-	res.Deltas = make([]float64, 0, opts.MaxIterations)
-
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
-		if iter%ctxCheckInterval == 1 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("pagerank: cancelled at iteration %d: %w", iter-1, err)
-			}
-		}
+	deltas, converged, err := iterate(ctx, &opts, func() float64 {
 		activeDangling := 0.0
 		for u := 0; u < n; u++ {
 			if !frozen[u] && g.Dangling(uint32(u)) {
@@ -187,8 +166,6 @@ func computeAdaptive(ctx context.Context, g DirectedGraph, opts Options) (*Resul
 				small[v] = 0
 			}
 		}
-		res.Deltas = append(res.Deltas, delta)
-		res.Iterations = iter
 
 		// Freeze pages that have been stable twice in a row, folding their
 		// now-constant contributions into the base.
@@ -219,16 +196,12 @@ func computeAdaptive(ctx context.Context, g DirectedGraph, opts Options) (*Resul
 				}
 			}
 		}
-
-		if delta < opts.Tolerance {
-			res.Converged = true
-			break
-		}
+		return delta
+	})
+	if err != nil {
+		return nil, err
 	}
-
 	normalize(cur)
-	res.Scores = cur
-	res.FrozenPages = nFrozen
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return &Result{Scores: cur, Iterations: len(deltas), Converged: converged, Deltas: deltas,
+		FrozenPages: nFrozen, Elapsed: time.Since(start)}, nil
 }

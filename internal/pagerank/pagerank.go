@@ -24,15 +24,10 @@ import (
 	"repro/internal/numeric"
 )
 
-// ctxCheckInterval is how many iterations run between cancellation
-// checks in every iteration scheme. One iteration touches every edge,
-// so checking every few iterations bounds post-cancellation work to a
-// handful of sweeps without per-edge overhead on the hot path.
-const ctxCheckInterval = 16
-
 // DirectedGraph is the view of a graph the engine needs. *graph.Graph
-// satisfies it; the Λ-extended chains in internal/core run their own
-// specialized iteration instead.
+// satisfies it. The Λ-extended chains in internal/core are not
+// DirectedGraphs: they store their collapsed matrix as a kernel.PushCSR
+// and run the same kernel sweeps and convergence loop on it.
 type DirectedGraph interface {
 	NumNodes() int
 	OutNeighbors(u uint32) []uint32
@@ -212,9 +207,9 @@ func Compute(g DirectedGraph, opts Options) (*Result, error) {
 }
 
 // ComputeCtx is Compute under a context: every iteration scheme checks
-// ctx every ctxCheckInterval iterations and, when cancelled (or when
-// opts.Deadline expires), returns nil and ctx's error wrapped with the
-// iteration reached.
+// ctx after every iteration (kernel.Iterate) and, when cancelled (or
+// when opts.Deadline expires), returns nil and ctx's error wrapped with
+// the iteration reached.
 func ComputeCtx(ctx context.Context, g DirectedGraph, opts Options) (*Result, error) {
 	n := g.NumNodes()
 	if n == 0 {
@@ -273,15 +268,24 @@ func initStart(cur, p []float64, opts *Options) {
 	}
 }
 
-// finishResult copies the converged iterate and the recorded deltas out
-// of the pooled working buffers into exact-size result slices.
-func finishResult(res *Result, cur, deltas []float64, start time.Time) {
+// iterate runs step through kernel.Iterate under opts' budget and
+// tolerance, naming the engine in a cancellation error.
+func iterate(ctx context.Context, opts *Options, step func() float64) ([]float64, bool, error) {
+	deltas, converged, err := kernel.Iterate(ctx, opts.MaxIterations, opts.Tolerance, step)
+	if err != nil {
+		return nil, false, fmt.Errorf("pagerank: %w", err)
+	}
+	return deltas, converged, nil
+}
+
+// finishResult normalizes the final iterate and copies it out of the
+// pooled working buffer into an exact-size result.
+func finishResult(cur, deltas []float64, converged bool, start time.Time) *Result {
 	normalize(cur)
-	res.Scores = make([]float64, len(cur))
-	copy(res.Scores, cur)
-	res.Deltas = make([]float64, len(deltas))
-	copy(res.Deltas, deltas)
-	res.Elapsed = time.Since(start)
+	scores := make([]float64, len(cur))
+	copy(scores, cur)
+	return &Result{Scores: scores, Iterations: len(deltas), Converged: converged,
+		Deltas: deltas, Elapsed: time.Since(start)}
 }
 
 // computeFlat is the sequential power iteration on the flat PUSH
@@ -308,10 +312,8 @@ func computeFlat(ctx context.Context, g DirectedGraph, opts Options) (*Result, e
 	// is allocated to capture them.
 	cur := kernel.GetVec(n)
 	next := kernel.GetVec(n)
-	deltas := kernel.GetVec(opts.MaxIterations)
 	defer kernel.PutVec(cur)
 	defer kernel.PutVec(next)
-	defer kernel.PutVec(deltas)
 	initStart(cur, p, &opts)
 
 	var prev1, prev2 []float64
@@ -323,34 +325,23 @@ func computeFlat(ctx context.Context, g DirectedGraph, opts Options) (*Result, e
 	}
 
 	eps := opts.Epsilon
-	res := &Result{}
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
-		if iter%ctxCheckInterval == 1 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("pagerank: cancelled at iteration %d: %w", iter-1, err)
-			}
-		}
+	iter := 0
+	deltas, converged, err := iterate(ctx, &opts, func() float64 {
 		delta := csr.Sweep(next, cur, p, d, eps, csr.DanglingMass(cur))
-		deltas[res.Iterations] = delta
-		res.Iterations = iter
-
-		if opts.ExtrapolateEvery > 0 {
+		if iter++; opts.ExtrapolateEvery > 0 {
 			if iter > 2 && iter%opts.ExtrapolateEvery == 0 {
 				extrapolate(next, prev1, prev2)
 			}
 			copy(prev2, prev1)
 			copy(prev1, next)
 		}
-
 		cur, next = next, cur
-		if delta < opts.Tolerance {
-			res.Converged = true
-			break
-		}
+		return delta
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	finishResult(res, cur, deltas[:res.Iterations], start)
-	return res, nil
+	return finishResult(cur, deltas, converged, start), nil
 }
 
 // extrapolate applies componentwise Aitken Δ² extrapolation in place:

@@ -2,7 +2,6 @@ package pagerank
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -40,10 +39,7 @@ import (
 // each worker also early-outs when ctx is already done so a cancelled
 // batch drains without scanning its range.
 func computeParallel(ctx context.Context, g DirectedGraph, opts Options) (*Result, error) {
-	parts := opts.Parallelism
-	if maxProcs := runtime.GOMAXPROCS(0); parts > maxProcs {
-		parts = maxProcs
-	}
+	parts := min(opts.Parallelism, runtime.GOMAXPROCS(0))
 	if parts <= 1 {
 		return computeFlat(ctx, g, opts)
 	}
@@ -59,10 +55,8 @@ func computeParallel(ctx context.Context, g DirectedGraph, opts Options) (*Resul
 	// names, both backing arrays return to the pool either way.
 	cur := kernel.GetVec(n)
 	next := kernel.GetVec(n)
-	deltas := kernel.GetVec(opts.MaxIterations)
 	defer kernel.PutVec(cur)
 	defer kernel.PutVec(next)
-	defer kernel.PutVec(deltas)
 	initStart(cur, p, &opts)
 
 	// PartitionByEdges clamps parts on tiny graphs; size the pool to the
@@ -82,8 +76,7 @@ func computeParallel(ctx context.Context, g DirectedGraph, opts Options) (*Resul
 	}
 
 	eps := opts.Epsilon
-	res := &Result{}
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
+	deltas, converged, err := iterate(ctx, &opts, func() float64 {
 		var delta float64
 		if scaled != nil {
 			csr.ScaleInto(scaled, cur)
@@ -91,25 +84,13 @@ func computeParallel(ctx context.Context, g DirectedGraph, opts Options) (*Resul
 		} else {
 			delta = pool.Sweep(ctx, csr, next, cur, p, d, eps, csr.DanglingMass(cur), bounds)
 		}
-
-		// A cancellation that landed mid-iteration left next (and the
-		// partial deltas) stale; this check runs before either is
-		// trusted, so a cancelled iteration can never "converge".
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("pagerank: cancelled at iteration %d: %w", iter-1, err)
-		}
-
-		deltas[res.Iterations] = delta
-		res.Iterations = iter
 		cur, next = next, cur
-		if delta < opts.Tolerance {
-			res.Converged = true
-			break
-		}
+		return delta
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	finishResult(res, cur, deltas[:res.Iterations], start)
-	return res, nil
+	return finishResult(cur, deltas, converged, start), nil
 }
 
 // DefaultParallelism returns the worker count used by Parallelism < 0:

@@ -9,11 +9,13 @@
 package pointrank
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/kernel"
 	"repro/internal/numeric"
 )
 
@@ -215,8 +217,7 @@ func Estimate(g *graph.Graph, target graph.NodeID, cfg Config) (*Result, error) 
 	// in-edges inside the set).
 	x := make([]float64, n)
 	copy(x, base)
-	res := &Result{InfluenceSize: n, BoundaryLinks: boundaryLinks}
-	for iter := 1; iter <= cfg.MaxIterations; iter++ {
+	deltas, converged, err := kernel.Iterate(context.Background(), cfg.MaxIterations, cfg.Tolerance, func() float64 {
 		dynDangling := 0.0
 		for _, i := range danglingMembers {
 			dynDangling += x[i]
@@ -240,13 +241,12 @@ func Estimate(g *graph.Graph, target graph.NodeID, cfg Config) (*Result, error) 
 			delta += math.Abs(acc - x[i])
 			x[i] = acc
 		}
-		res.Iterations = iter
-		if delta < cfg.Tolerance {
-			res.Converged = true
-			break
-		}
+		return delta
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pointrank: %w", err)
 	}
-	res.Score = x[0] // the target is set[0]
-	res.Elapsed = time.Since(start)
-	return res, nil
+	// The target is set[0].
+	return &Result{Score: x[0], InfluenceSize: n, BoundaryLinks: boundaryLinks,
+		Iterations: len(deltas), Converged: converged, Elapsed: time.Since(start)}, nil
 }

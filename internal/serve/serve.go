@@ -461,8 +461,11 @@ func (s *Server) rankBatch(items [][]uint32, cfg core.Config) ([]*core.Result, [
 			return nil, nil, nil, err
 		}
 		defer s.adm.release()
+		// The batch fan-out is RankManyCtx's own (one worker per
+		// subgraph, at most GOMAXPROCS): cfg.Parallelism, rankd's
+		// -parallelism, is each chain's per-iteration worker count.
 		var partial []*core.Result
-		partial, batchErr = core.RankManyCtx(ctx, s.gctx, subs, cfg, s.rank.Parallelism)
+		partial, batchErr = core.RankManyCtx(ctx, s.gctx, subs, cfg, 0)
 		key := cfgKey(cfg)
 		for bi, res := range partial {
 			i := backMap[bi]
