@@ -43,9 +43,10 @@ serve-test:
 # partition runtime, the experiment drivers that fan work out across
 # goroutines, the serving daemon (single-flight coalescing and the
 # admission gate are exactly the interleavings -race exists to catch),
-# and the graph loader's parallel in-CSR build team.
+# and the worker team under the sweep pool and the graph loader's
+# parallel in-CSR build.
 race:
-	$(GO) test -race ./internal/kernel/ ./internal/core/ ./internal/pagerank/ ./internal/distributed/ ./internal/experiments/ ./internal/serve/ ./internal/graph/
+	$(GO) test -race ./internal/par/ ./internal/kernel/ ./internal/core/ ./internal/pagerank/ ./internal/distributed/ ./internal/experiments/ ./internal/serve/ ./internal/graph/
 
 # Focused engine benchmarks (chain construction, ApproxRank, the
 # sequential and parallel power iterations, RankMany fan-out, the
@@ -56,8 +57,11 @@ race:
 # from its stored tail) parsed to a machine-readable
 # artifact. BENCHTIME trades precision for speed; the graph corpus runs
 # at ~1M edges here — set GRAPH_BENCH_CRAWL=1 for the 10M/50M scales.
+# Every benchmark runs three times and benchjson records the
+# per-benchmark median, so one slow run cannot trip bench-diff's ns/op
+# gate by itself.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' \
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -count=3 -run='^$$' \
 		./internal/core/ ./internal/pagerank/ ./internal/kernel/ ./internal/graph/ ./internal/serve/ | $(GO) run ./cmd/benchjson > BENCH_core.json
 	@echo "wrote BENCH_core.json"
 

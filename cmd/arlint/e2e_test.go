@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -161,97 +160,6 @@ func TestCheckerSelection(t *testing.T) {
 	_, stderr, code := runIn(t, bin, dir, "-checkers=nosuch")
 	if code != 2 || !strings.Contains(stderr, "unknown checker") {
 		t.Errorf("unknown checker: exit %d stderr %q, want 2 with an unknown-checker error", code, stderr)
-	}
-}
-
-func TestStaleBaselineReport(t *testing.T) {
-	bin := buildArlint(t)
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	entry := `{"version":1,"findings":[{"file":"gone.go","checker":"floatcmp","message":"long fixed"}]}`
-	if err := os.WriteFile(base, []byte(entry), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, stderr, code := runIn(t, bin, filepath.Join("testdata", "cleanmod"), "-baseline="+base)
-	if code != 0 {
-		t.Fatalf("stale entries must stay non-fatal on a clean module, exit = %d\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale baseline entry") || !strings.Contains(stderr, "gone.go") {
-		t.Errorf("stderr does not report the stale entry: %q", stderr)
-	}
-}
-
-// TestPruneBaseline exercises -prune-baseline: stale entries are
-// removed, matched entries survive, and a second prune is a no-op on
-// identical bytes (idempotence).
-func TestPruneBaseline(t *testing.T) {
-	bin := buildArlint(t)
-	dir := filepath.Join("testdata", "dirtymod")
-	tmp := t.TempDir()
-
-	// Record the module's real findings, then graft a stale entry on.
-	clean := filepath.Join(tmp, "clean.json")
-	if _, stderr, code := runIn(t, bin, dir, "-write-baseline="+clean); code != 0 {
-		t.Fatalf("-write-baseline exit = %d\n%s", code, stderr)
-	}
-	cleanBytes, err := os.ReadFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		Version  int                 `json:"version"`
-		Findings []map[string]string `json:"findings"`
-	}
-	if err := json.Unmarshal(cleanBytes, &file); err != nil {
-		t.Fatal(err)
-	}
-	file.Findings = append(file.Findings, map[string]string{
-		"file": "gone.go", "checker": "floatcmp", "message": "long fixed",
-	})
-	mixedBytes, err := json.Marshal(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed := filepath.Join(tmp, "mixed.json")
-	if err := os.WriteFile(mixed, mixedBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// First prune: the stale entry goes, the matched entries stay, and
-	// the rewritten file round-trips to -write-baseline's exact bytes.
-	_, stderr, code := runIn(t, bin, dir, "-baseline="+mixed, "-prune-baseline")
-	if code != 0 {
-		t.Fatalf("prune run exit = %d (the real findings should all be suppressed)\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "pruned 1 stale baseline entry") {
-		t.Errorf("stderr does not report the prune: %q", stderr)
-	}
-	pruned, err := os.ReadFile(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pruned, cleanBytes) {
-		t.Errorf("pruned baseline differs from the freshly-written one:\n%s\nwant:\n%s", pruned, cleanBytes)
-	}
-
-	// Second prune: nothing stale, nothing rewritten.
-	_, stderr, code = runIn(t, bin, dir, "-baseline="+mixed, "-prune-baseline")
-	if code != 0 {
-		t.Fatalf("second prune run exit = %d\n%s", code, stderr)
-	}
-	if strings.Contains(stderr, "pruned") {
-		t.Errorf("second prune still pruned something: %q", stderr)
-	}
-	again, err := os.ReadFile(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, pruned) {
-		t.Errorf("second prune changed the file: prune is not idempotent")
-	}
-
-	// -prune-baseline without -baseline is a usage error.
-	if _, stderr, code := runIn(t, bin, dir, "-prune-baseline"); code != 2 || !strings.Contains(stderr, "-baseline") {
-		t.Errorf("-prune-baseline alone: exit %d stderr %q, want 2 with a usage error", code, stderr)
 	}
 }
 

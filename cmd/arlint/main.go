@@ -12,20 +12,12 @@
 // Output formats (-format):
 //
 //	text   one finding per line: file:line:col: checker: message
-//	json   a JSON array of {file, line, column, checker, message, fixable}
 //	sarif  a SARIF 2.1.0 log for code-scanning upload
 //
 // Pipeline flags:
 //
 //	-checkers a,b         run only the named checkers
 //	-disable a,b          run all but the named checkers
-//	-baseline FILE        suppress the findings recorded in FILE; stale
-//	                      entries (matching nothing) are reported to
-//	                      stderr, non-fatally, so they can be pruned
-//	-prune-baseline       with -baseline: rewrite FILE with the stale
-//	                      entries removed (idempotent — a clean baseline
-//	                      is left untouched)
-//	-write-baseline FILE  record the current findings in FILE and exit 0
 //	-fix                  apply suggested fixes, then re-analyze and
 //	                      report what remains
 //	-callgraph=dot        print the interprocedural call graph (with the
@@ -36,9 +28,9 @@
 // state under the current -checkers/-disable selection and whether it
 // supports -fix — and exits.
 //
-// Exit status is 0 when the module is clean (after baseline filtering
-// and fixes), 1 when there are findings, and 2 when the module fails to
-// load or type-check.
+// Exit status is 0 when the module is clean (after fixes), 1 when
+// there are findings, and 2 when the module fails to load or
+// type-check.
 package main
 
 import (
@@ -54,15 +46,12 @@ import (
 
 func main() {
 	var (
-		list          = flag.Bool("list", false, "list the checkers (with enabled state and -fix support) and exit")
-		checkers      = flag.String("checkers", "", "comma-separated checker names to run (default: all)")
-		disable       = flag.String("disable", "", "comma-separated checker names to skip")
-		format        = flag.String("format", "text", "output format: text, json or sarif")
-		baselinePath  = flag.String("baseline", "", "suppress findings recorded in this baseline file")
-		pruneBaseline = flag.Bool("prune-baseline", false, "with -baseline: rewrite the baseline file with stale entries removed")
-		writeBaseline = flag.String("write-baseline", "", "record current findings to this file and exit")
-		fix           = flag.Bool("fix", false, "apply suggested fixes, then report remaining findings")
-		callgraph     = flag.String("callgraph", "", "debug output: 'dot' prints the call graph with summaries and exits")
+		list      = flag.Bool("list", false, "list the checkers (with enabled state and -fix support) and exit")
+		checkers  = flag.String("checkers", "", "comma-separated checker names to run (default: all)")
+		disable   = flag.String("disable", "", "comma-separated checker names to skip")
+		format    = flag.String("format", "text", "output format: text or sarif")
+		fix       = flag.Bool("fix", false, "apply suggested fixes, then report remaining findings")
+		callgraph = flag.String("callgraph", "", "debug output: 'dot' prints the call graph with summaries and exits")
 	)
 	flag.Parse()
 	suite, err := selectCheckers(*checkers, *disable)
@@ -98,16 +87,12 @@ func main() {
 		os.Exit(writeDot(flag.Args()))
 	}
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "sarif":
 	default:
-		fmt.Fprintf(os.Stderr, "arlint: unknown format %q (want text, json or sarif)\n", *format)
+		fmt.Fprintf(os.Stderr, "arlint: unknown format %q (want text or sarif)\n", *format)
 		os.Exit(2)
 	}
-	if *pruneBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "arlint: -prune-baseline requires -baseline FILE")
-		os.Exit(2)
-	}
-	os.Exit(run(flag.Args(), suite, *format, *baselinePath, *writeBaseline, *fix, *pruneBaseline))
+	os.Exit(run(flag.Args(), suite, *format, *fix))
 }
 
 // selectCheckers resolves -checkers/-disable into the suite to run.
@@ -160,7 +145,7 @@ func selectCheckers(only, disable string) ([]*analysis.Analyzer, error) {
 	return suite, nil
 }
 
-func run(patterns []string, suite []*analysis.Analyzer, format, baselinePath, writeBaseline string, fix, pruneBaseline bool) int {
+func run(patterns []string, suite []*analysis.Analyzer, format string, fix bool) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arlint:", err)
@@ -195,55 +180,12 @@ func run(patterns []string, suite []*analysis.Analyzer, format, baselinePath, wr
 		}
 	}
 
-	if writeBaseline != "" {
-		if err := analysis.WriteBaseline(writeBaseline, diags, root); err != nil {
-			fmt.Fprintln(os.Stderr, "arlint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "arlint: recorded %d finding(s) in %s\n", len(diags), writeBaseline)
-		return 0
-	}
-	if baselinePath != "" {
-		base, err := analysis.LoadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "arlint:", err)
-			return 2
-		}
-		filtered, stale := base.Filter(diags, root)
-		for _, s := range stale {
-			fmt.Fprintf(os.Stderr, "arlint: stale baseline entry (matches no finding): %s\n", s)
-		}
-		if len(stale) > 0 {
-			if pruneBaseline {
-				// Prune against the unfiltered findings: entries that
-				// matched must survive the rewrite.
-				removed, err := analysis.PruneBaseline(baselinePath, diags, root)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "arlint:", err)
-					return 2
-				}
-				fmt.Fprintf(os.Stderr, "arlint: pruned %d stale baseline entr%s from %s\n",
-					removed, map[bool]string{true: "y", false: "ies"}[removed == 1], baselinePath)
-			} else {
-				fmt.Fprintf(os.Stderr, "arlint: %d stale baseline entr%s in %s; re-run with -prune-baseline to remove\n",
-					len(stale), map[bool]string{true: "y", false: "ies"}[len(stale) == 1], baselinePath)
-			}
-		}
-		diags = filtered
-	}
-
-	switch format {
-	case "json":
-		if err := analysis.WriteJSON(os.Stdout, diags, root); err != nil {
-			fmt.Fprintln(os.Stderr, "arlint:", err)
-			return 2
-		}
-	case "sarif":
+	if format == "sarif" {
 		if err := analysis.WriteSARIF(os.Stdout, analysis.All, diags, root); err != nil {
 			fmt.Fprintln(os.Stderr, "arlint:", err)
 			return 2
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Printf("%s:%d:%d: %s: %s\n", relTo(cwd, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Checker, d.Message)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // copyModule copies a testdata module into a temp dir so tests that
-// write (baselines, fixes) never touch the checked-in fixtures.
+// write (fixes) never touch the checked-in fixtures.
 func copyModule(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -30,44 +30,6 @@ func copyModule(t *testing.T, src string) string {
 		}
 	}
 	return dst
-}
-
-// TestJSONFormat checks the -format=json schema: an array of findings
-// with file/line/column/checker/message fields and stable checker IDs.
-func TestJSONFormat(t *testing.T) {
-	bin := buildArlint(t)
-	stdout, stderr, code := runIn(t, bin, filepath.Join("testdata", "dirtymod"), "-format=json")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstderr:\n%s", code, stderr)
-	}
-	var findings []struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Column  int    `json:"column"`
-		Checker string `json:"checker"`
-		Message string `json:"message"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &findings); err != nil {
-		t.Fatalf("-format=json output is not a JSON finding array: %v\n%s", err, stdout)
-	}
-	if len(findings) == 0 {
-		t.Fatal("no findings in JSON output for the dirty module")
-	}
-	known := map[string]bool{}
-	for _, c := range allCheckers {
-		known[c] = true
-	}
-	for _, f := range findings {
-		if f.File == "" || f.Line <= 0 || f.Column <= 0 || f.Message == "" {
-			t.Errorf("finding with missing fields: %+v", f)
-		}
-		if !known[f.Checker] {
-			t.Errorf("finding has unknown checker ID %q", f.Checker)
-		}
-		if filepath.IsAbs(f.File) {
-			t.Errorf("finding file %q is absolute; want module-root-relative", f.File)
-		}
-	}
 }
 
 // sarifLog mirrors the subset of SARIF 2.1.0 the driver emits and code
@@ -173,57 +135,6 @@ func TestSARIFFormat(t *testing.T) {
 		if loc.Region.StartLine <= 0 {
 			t.Errorf("result region missing startLine: %+v", loc.Region)
 		}
-	}
-}
-
-// TestBaseline records the dirty module's findings, then checks that the
-// baseline suppresses exactly those findings: the recorded module comes
-// back clean, and a finding added afterwards still surfaces.
-func TestBaseline(t *testing.T) {
-	bin := buildArlint(t)
-	dir := copyModule(t, filepath.Join("testdata", "dirtymod"))
-	baseline := filepath.Join(dir, "arlint-baseline.json")
-
-	if _, stderr, code := runIn(t, bin, dir, "-write-baseline", baseline); code != 0 {
-		t.Fatalf("-write-baseline exit code = %d, want 0\nstderr:\n%s", code, stderr)
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-	var recorded struct {
-		Version  int `json:"version"`
-		Findings []struct {
-			File    string `json:"file"`
-			Checker string `json:"checker"`
-			Message string `json:"message"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(data, &recorded); err != nil {
-		t.Fatalf("baseline is not valid JSON: %v", err)
-	}
-	if recorded.Version != 1 || len(recorded.Findings) == 0 {
-		t.Fatalf("baseline version/findings = %d/%d, want 1/≥1", recorded.Version, len(recorded.Findings))
-	}
-
-	stdout, stderr, code := runIn(t, bin, dir, "-baseline", baseline)
-	if code != 0 {
-		t.Fatalf("baselined module not clean: exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-
-	// A finding introduced after the baseline must still surface — and
-	// only that finding.
-	extra := "package dirtymod\n\nfunc NewSin(a, b float64) bool { return a == b }\n"
-	if err := os.WriteFile(filepath.Join(dir, "extra.go"), []byte(extra), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout, stderr, code = runIn(t, bin, dir, "-baseline", baseline)
-	if code != 1 {
-		t.Fatalf("new finding suppressed by stale baseline: exit %d\nstderr:\n%s", code, stderr)
-	}
-	lines := strings.Split(strings.TrimRight(stdout, "\n"), "\n")
-	if len(lines) != 1 || !strings.Contains(lines[0], "extra.go") || !strings.Contains(lines[0], "floatcmp") {
-		t.Fatalf("want exactly the new extra.go floatcmp finding, got:\n%s", stdout)
 	}
 }
 

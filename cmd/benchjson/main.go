@@ -9,11 +9,14 @@
 //
 // becomes one object: the trailing value/unit pairs — the standard
 // ns/op, B/op, allocs/op plus any custom b.ReportMetric units — are
-// collected into the metrics map verbatim, keyed by unit.
+// collected into the metrics map verbatim, keyed by unit. Repeated runs
+// of one benchmark (go test -count N) become one object whose every
+// metric is the median over the runs, so one slow run cannot move the
+// artifact by itself.
 //
 // Usage:
 //
-//	go test -bench=. -benchmem -run='^$' ./internal/core/ | benchjson
+//	go test -bench=. -benchmem -count=3 -run='^$' ./internal/core/ | benchjson
 //
 // With -diff, benchjson instead compares two of its own artifacts and
 // gates on regressions (see runDiff):
@@ -28,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -42,10 +46,14 @@ type Result struct {
 	Pkg string `json:"pkg,omitempty"`
 	// Procs is the GOMAXPROCS suffix of the name (0 if absent).
 	Procs int `json:"procs,omitempty"`
-	// Iterations is the b.N the reported means were averaged over.
+	// Iterations is the b.N the reported means were averaged over (the
+	// median b.N when the benchmark ran more than once).
 	Iterations int64 `json:"iterations"`
+	// Runs is how many result lines the benchmark had (go test -count).
+	Runs int `json:"runs"`
 	// Metrics maps unit -> value for every value/unit pair on the line:
-	// ns/op, B/op, allocs/op, MB/s and custom ReportMetric units.
+	// ns/op, B/op, allocs/op, MB/s and custom ReportMetric units; the
+	// median over the runs for a repeated benchmark.
 	Metrics map[string]float64 `json:"metrics"`
 }
 
@@ -83,7 +91,7 @@ func run(in io.Reader, out, errw io.Writer) int {
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(medians(results)); err != nil {
 		fmt.Fprintln(errw, "benchjson:", err)
 		return 1
 	}
@@ -141,4 +149,56 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 		results = append(results, r)
 	}
 	return results, sc.Err()
+}
+
+// medians folds the runs of each benchmark (same package, name and
+// procs) into one result, in first-appearance order: Runs counts them,
+// and Iterations and every metric are the median over the runs that
+// report it — the mean of the middle two for an even count.
+func medians(results []Result) []Result {
+	type key struct {
+		pkg, name string
+		procs     int
+	}
+	at := make(map[key]int)
+	var out []Result
+	var runs [][]Result
+	for _, r := range results {
+		k := key{r.Pkg, r.Name, r.Procs}
+		i, ok := at[k]
+		if !ok {
+			i = len(out)
+			at[k] = i
+			out = append(out, r)
+			runs = append(runs, nil)
+		}
+		runs[i] = append(runs[i], r)
+	}
+	for i, rs := range runs {
+		iters := make([]float64, len(rs))
+		byUnit := make(map[string][]float64)
+		for k, r := range rs {
+			iters[k] = float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				byUnit[unit] = append(byUnit[unit], v)
+			}
+		}
+		m := &out[i]
+		m.Runs, m.Iterations = len(rs), int64(median(iters))
+		m.Metrics = make(map[string]float64, len(byUnit))
+		for unit, vs := range byUnit {
+			m.Metrics[unit] = median(vs)
+		}
+	}
+	return out
+}
+
+// median returns the median of vs (sorted in place); vs is non-empty.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	h := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[h]
+	}
+	return (vs[h-1] + vs[h]) / 2
 }

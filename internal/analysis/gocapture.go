@@ -8,9 +8,10 @@ import (
 
 // GoCapture flags goroutine literals that write to variables declared
 // outside the closure. Unsynchronized writes to captured variables are
-// the data race internal/pagerank/parallel.go is engineered to avoid:
-// its workers only ever write through worker-indexed slots (a[i],
-// deltas[w]) so that no two goroutines touch the same element.
+// the data race the kernel's SweepPool is engineered to avoid: its
+// workers only ever write through worker-indexed slots (next[v] in
+// their own range, deltas[w]) so that no two goroutines touch the same
+// element.
 //
 // Allowed forms inside a `go func(...) {...}`:
 //   - writes to variables declared inside the closure (including params)

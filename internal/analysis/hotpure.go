@@ -26,7 +26,7 @@ import (
 // The directive goes in the function's doc comment:
 //
 //	//arlint:hot
-//	func (c *CSR) SweepRange(next, cur, p, d []float64, …) float64 { … }
+//	func (c *CSR) sweepRange(next, cur, p, d []float64, …) float64 { … }
 //
 // Unlike most checkers there is no sanctioned escape hatch: the
 // acceptance contract for hot paths is zero baseline suppressions —

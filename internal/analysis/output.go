@@ -7,43 +7,11 @@ import (
 	"strings"
 )
 
-// Machine-readable output formats for the driver. Both formats address
-// files relative to a root directory (the module root), so the output
-// is stable across checkouts.
-
-// jsonFinding is one diagnostic in the -format=json output.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Checker string `json:"checker"`
-	Message string `json:"message"`
-	Fixable bool   `json:"fixable,omitempty"`
-}
-
-// WriteJSON encodes diags as a JSON array of findings with root-relative
-// file paths.
-func WriteJSON(w io.Writer, diags []Diagnostic, root string) error {
-	out := make([]jsonFinding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonFinding{
-			File:    relPath(root, d.Pos.Filename),
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Checker: d.Checker,
-			Message: d.Message,
-			Fixable: d.Fix != nil,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // SARIF 2.1.0 output, the minimal subset GitHub code scanning ingests:
 // one run, one rule per checker (the rule ID is the checker name, which
 // is stable across releases), one result per diagnostic with a physical
-// location carrying a root-relative URI and a start line/column region.
+// location carrying a URI relative to the module root (so the log is
+// stable across checkouts) and a start line/column region.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`

@@ -130,8 +130,8 @@ func writeRoot(info *types.Info, expr ast.Expr) (base *ast.Ident, inStorage bool
 // a fresh allocation (make, new, a composite literal, or an append to
 // the variable itself), and the variable's address is never taken.
 // Writes through such a variable are invisible to the caller and keep
-// the function pure — PartitionByEdges filling a bounds slice it just
-// made is Pure (and separately Allocates), not Output.
+// the function pure — par.Split filling a bounds slice it just made is
+// Pure (and separately Allocates), not Output.
 func locallyOwned(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	owned := make(map[types.Object]bool)
 	disqualified := make(map[types.Object]bool)

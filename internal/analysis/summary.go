@@ -145,8 +145,8 @@ func (s *Summaries) CalleeSummary(info *types.Info, call *ast.CallExpr) *Summary
 // CalleeSummaryDevirt is CalleeSummary extended through the candidate
 // edges: at an interface-method call site it returns the pessimistic
 // join of the summaries of every known implementation in the analyzed
-// package set, so checkers see through the DirectedGraph/InEdgeGraph
-// seam instead of going to ⊤. The join keeps may-facts (drops-error,
+// package set, so checkers see through the kernel.Source seam (which
+// pagerank.DirectedGraph aliases) instead of going to ⊤. The join keeps may-facts (drops-error,
 // allocates, sends, purity level …) if ANY implementation has them and
 // must-facts (Done-on-all-paths, context forwarding) only if EVERY
 // implementation proves them — sound for both polarities no matter

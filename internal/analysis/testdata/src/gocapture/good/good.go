@@ -5,7 +5,7 @@ package fixture
 
 import "sync"
 
-// slots is the worker-indexed slot pattern from parallel.go: each
+// slots is the worker-indexed slot pattern of the sweep pool: each
 // goroutine writes only elements of its own range.
 func slots(parts []float64, workers int) float64 {
 	var wg sync.WaitGroup

@@ -12,8 +12,8 @@ import (
 // on every path to its exit — directly, via `defer wg.Done()`, or via a
 // static callee whose summary (summary.go) guarantees Done on the
 // forwarded *sync.WaitGroup parameter. An Add whose Done can be skipped
-// on some path leaves Wait blocked forever: the parallel power
-// iteration's per-iteration barrier (internal/pagerank/parallel.go) and
+// on some path leaves Wait blocked forever: the worker team's
+// per-round barrier (internal/par) and
 // the worker fan-out of RankMany (internal/core/many.go) both deadlock
 // on exactly this defect.
 //

@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -665,24 +664,19 @@ func (c *ExtendedChain) RunCtx(ctx context.Context, cfg Config) (*Result, error)
 	// Parallel runs pull along m's transpose with a kernel.SweepPool
 	// spawned once per run, each worker owning a disjoint
 	// edge-count-balanced range of target states: no reduction pass, and
-	// an iterate bit-identical across worker counts. Parts beyond
-	// GOMAXPROCS cannot run concurrently, and at one part the push sweep
-	// is faster.
-	var pull *kernel.CSR
+	// an iterate bit-identical across worker counts. A request that
+	// kernel.PoolParts caps at one part pushes instead, which is faster.
 	var pool *kernel.SweepPool
-	var bounds []int
-	if parts := min(cfg.Parallelism, runtime.GOMAXPROCS(0)); parts > 1 {
-		pull = c.pullCSR()
-		bounds = kernel.PartitionByEdges(pull.InOff, parts)
-		pool = kernel.NewSweepPool(len(bounds) - 1)
+	if kernel.PoolParts(cfg.Parallelism) > 1 {
+		pool = kernel.NewSweepPool(c.pullCSR(), cfg.Parallelism)
 		defer pool.Close()
 	}
 	deltas, converged, err := kernel.Iterate(ctx, cfg.MaxIterations, cfg.Tolerance, func() float64 {
 		var delta float64
 		if pool != nil {
-			delta = pool.Sweep(ctx, pull, next, cur, pvec, pvec, eps, pull.DanglingMass(cur), bounds)
+			delta = pool.Sweep(ctx, next, cur, pvec, pvec, eps)
 		} else {
-			delta = c.m.Sweep(next, cur, pvec, pvec, eps, c.m.DanglingMass(cur))
+			delta = c.m.Sweep(next, cur, pvec, pvec, eps)
 		}
 		cur, next = next, cur
 		return delta

@@ -31,25 +31,6 @@ func (s *Suite) ablationSubgraph() (*graph.Subgraph, error) {
 	return graph.NewSubgraph(s.AU.Data.Graph, s.AU.Data.DomainPages(d))
 }
 
-// eDistance computes ‖E − E_approx‖₁: the L1 distance between the true
-// normalized external scores and the uniform assumption.
-func eDistance(sub *graph.Subgraph, globalScores []float64) float64 {
-	extSum := 0.0
-	for gid, sc := range globalScores {
-		if _, local := sub.LocalID(graph.NodeID(gid)); !local {
-			extSum += sc
-		}
-	}
-	uni := 1.0 / float64(sub.External())
-	d := 0.0
-	for gid, sc := range globalScores {
-		if _, local := sub.LocalID(graph.NodeID(gid)); !local {
-			d += math.Abs(sc/extSum - uni)
-		}
-	}
-	return d
-}
-
 // AblationEpsilon sweeps the damping factor and reports the measured
 // IdealRank↔ApproxRank gap against the Theorem 2 bound, which scales as
 // ε/(1−ε). The global truth is recomputed per ε (the theorem compares
@@ -81,11 +62,11 @@ func (s *Suite) AblationEpsilon(epsilons []float64) ([]AblationPoint, error) {
 		for i := range ideal.Scores {
 			gap += math.Abs(ideal.Scores[i] - ap.Scores[i])
 		}
-		pts = append(pts, AblationPoint{
-			X:     eps,
-			Gap:   gap,
-			Bound: eps / (1 - eps) * eDistance(sub, truth),
-		})
+		bound, err := core.ErrorBound(sub, truth, eps)
+		if err != nil {
+			return nil, err
+		}
+		pts = append(pts, AblationPoint{X: eps, Gap: gap, Bound: bound})
 	}
 	return pts, nil
 }

@@ -108,7 +108,7 @@ func NewSuiteCtx(ctx context.Context, scale Scale) (*Suite, error) {
 	}
 	pol, err := newGlobalRun(ctx, "politics-syn", gen.Config{
 		Pages:   scale.PoliticsPages,
-		Domains: maxInt(scale.AUDomains/2, 4),
+		Domains: max(scale.AUDomains/2, 4),
 		Topics:  scale.PoliticsTopics,
 		// Topic crawls need cross-domain topical structure; lower the
 		// intra-domain fraction slightly and raise topic affinity so TS
@@ -145,9 +145,15 @@ func newGlobalRun(ctx context.Context, name string, cfg gen.Config) (*GlobalRun,
 // Truth returns the normalized global PageRank restricted to sub — the
 // reference vector R1 of the paper's evaluation method.
 func (gr *GlobalRun) Truth(sub *graph.Subgraph) []float64 {
+	return restrictNormalized(gr.PR.Scores, sub)
+}
+
+// restrictNormalized returns global restricted to sub's local pages, in
+// local-id order, normalized to sum to 1.
+func restrictNormalized(global []float64, sub *graph.Subgraph) []float64 {
 	out := make([]float64, sub.N())
 	for li, gid := range sub.Local {
-		out[li] = gr.PR.Scores[gid]
+		out[li] = global[gid]
 	}
 	normalize(out)
 	return out
@@ -212,13 +218,6 @@ func normalize(v []float64) {
 	for i := range v {
 		v[i] /= s
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // avgOutDegree returns the average GLOBAL out-degree of the pages in sub

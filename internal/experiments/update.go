@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"text/tabwriter"
 	"time"
@@ -85,7 +84,7 @@ func (s *Suite) RunUpdate(rewireFrac float64, seed int64) ([]UpdateRow, error) {
 	evalRegion := func(scores []float64) (float64, float64, error) {
 		est := append([]float64(nil), scores...)
 		normalize(est)
-		l1, err := pagerankL1(truth, est)
+		l1, err := metrics.L1(truth, est)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -146,26 +145,4 @@ func WriteUpdate(w io.Writer, rows []UpdateRow) error {
 			r.Strategy, r.L1, r.Footrule, r.GlobalSweeps, r.Elapsed.Round(msRound))
 	}
 	return tw.Flush()
-}
-
-func restrictNormalized(global []float64, sub *graph.Subgraph) []float64 {
-	out := make([]float64, sub.N())
-	for li, gid := range sub.Local {
-		out[li] = global[gid]
-	}
-	normalize(out)
-	return out
-}
-
-// pagerankL1 is a local L1 helper (the callers have equal-length vectors
-// by construction but keep the check).
-func pagerankL1(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("experiments: length mismatch")
-	}
-	d := 0.0
-	for i := range a {
-		d += math.Abs(a[i] - b[i])
-	}
-	return d, nil
 }

@@ -2,15 +2,16 @@ package graph
 
 import (
 	"runtime"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // Parallel in-CSR build. Deriving the in-adjacency from a finished
 // out-CSR is the dominant cost of loading a v2 file whose writer
 // omitted the in-sections, and part of every Builder.Build (text loads
 // included), so it runs as a partitioned counting sort over a resident
-// worker team (the kernel.SweepPool shape: spawn once, broadcast rounds
-// over buffered channels, caller works as worker 0):
+// par.Team (the team under kernel.SweepPool: spawn once, broadcast
+// rounds, caller works as worker 0):
 //
 //	phase 1  each worker counts in-degrees for its contiguous source
 //	         range into a private count array — no shared writes.
@@ -68,29 +69,20 @@ func buildInParallel(g *Graph, workers int) {
 	}
 
 	// Contiguous source ranges balanced by edge count, so phase 1 and
-	// phase 3 hand each worker a similar share of the scatter work.
-	bounds := splitNodesByEdges(g.outOff, g.n, workers)
+	// phase 3 hand each worker a similar share of the scatter work. Split
+	// clamps the range count on graphs with fewer nodes than workers.
+	bounds := par.Split(g.outOff, workers)
+	workers = len(bounds) - 1
 	counts := make([][]int32, workers)
 	for w := 0; w < workers; w++ {
 		counts[w] = make([]int32, g.n)
 	}
 
-	// Each round is a broadcast/join barrier over the resident team:
-	// hand f to every worker over its private buffered channel, work
-	// part 0 on the calling goroutine, wait for the rest. Keeping the
-	// feed loop and the join here — next to the team construction —
-	// is the SweepPool discipline: one spawn per build, amortized over
-	// the rounds, not one spawn+join per phase.
-	team := newBuildTeam(workers)
-	round := func(f func(worker int)) {
-		team.wg.Add(len(team.jobs))
-		for _, ch := range team.jobs {
-			ch <- f
-		}
-		f(0)
-		team.wg.Wait()
-	}
-	round(func(w int) {
+	// One team for both rounds: one spawn per build, not one per phase.
+	var team par.Team
+	team.Start(workers)
+	defer team.Stop()
+	team.Run(func(w int) {
 		countRange(g.outAdj, g.outOff[bounds[w]], g.outOff[bounds[w+1]], counts[w])
 	})
 
@@ -109,7 +101,7 @@ func buildInParallel(g *Graph, workers int) {
 	}
 	g.inOff[g.n] = total
 
-	round(func(w int) {
+	team.Run(func(w int) {
 		lo, hi := bounds[w], bounds[w+1]
 		if g.inW != nil {
 			scatterRangeW(g.outOff, g.outAdj, g.outW, lo, hi, counts[w], g.inAdj, g.inW)
@@ -117,7 +109,6 @@ func buildInParallel(g *Graph, workers int) {
 			scatterRange(g.outOff, g.outAdj, lo, hi, counts[w], g.inAdj)
 		}
 	})
-	team.stop()
 }
 
 // buildInSeq is the sequential in-CSR build: count in-degrees, prefix
@@ -183,58 +174,5 @@ func scatterRangeW(outOff []int64, outAdj []NodeID, outW []float64, lo, hi int, 
 			inW[slot] = outW[k]
 			cur[v]++
 		}
-	}
-}
-
-// splitNodesByEdges cuts [0, n) into `parts` contiguous node ranges of
-// roughly equal edge count (by outOff), returning parts+1 ascending
-// bounds. Mirrors kernel.PartitionByEdges without importing kernel.
-func splitNodesByEdges(outOff []int64, n, parts int) []int {
-	bounds := make([]int, parts+1)
-	bounds[parts] = n
-	total := outOff[n]
-	node := 0
-	for p := 1; p < parts; p++ {
-		target := total * int64(p) / int64(parts)
-		for node < n && outOff[node] < target {
-			node++
-		}
-		bounds[p] = node
-	}
-	return bounds
-}
-
-// buildTeam is a resident worker team for the two build phases: W-1
-// goroutines spawned once, caller as worker 0, rounds broadcast over
-// buffered(1) channels — the SweepPool discipline, so building a graph
-// costs one goroutine spawn per worker per build, not per phase.
-type buildTeam struct {
-	jobs []chan func(int)
-	wg   sync.WaitGroup
-}
-
-func newBuildTeam(workers int) *buildTeam {
-	t := &buildTeam{jobs: make([]chan func(int), workers-1)}
-	for i := range t.jobs {
-		ch := make(chan func(int), 1)
-		t.jobs[i] = ch
-		go t.worker(i+1, ch)
-	}
-	return t
-}
-
-// worker is the body of one resident team goroutine: run the round's
-// job for this worker id, hit the barrier, sleep until the next round.
-// The loop ends when stop closes the job channel.
-func (t *buildTeam) worker(w int, jobs <-chan func(int)) {
-	for f := range jobs {
-		f(w)
-		t.wg.Done()
-	}
-}
-
-func (t *buildTeam) stop() {
-	for _, ch := range t.jobs {
-		close(ch)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"repro/internal/par"
 )
 
 // respawnSweep is the pre-SweepPool parallel sweep, kept here as the
@@ -25,7 +27,7 @@ func respawnSweep(ctx context.Context, c *CSR, next, cur, p, d []float64, eps, d
 			if ctx.Err() != nil {
 				return
 			}
-			partDeltas[w] = c.SweepRange(next, cur, p, d, bounds[w], bounds[w+1], eps, danglingMass)
+			partDeltas[w] = c.sweepRange(next, cur, p, d, bounds[w], bounds[w+1], eps, danglingMass)
 		}(w)
 	}
 	wg.Wait()
@@ -37,8 +39,8 @@ func respawnSweep(ctx context.Context, c *CSR, next, cur, p, d []float64, eps, d
 }
 
 // benchSweepSetup freezes a random graph and sizes the iteration
-// vectors and partition for the given part count.
-func benchSweepSetup(b *testing.B, n, parts int) (*CSR, []float64, []float64, []float64, []int) {
+// vectors.
+func benchSweepSetup(b *testing.B, n int) (*CSR, []float64, []float64, []float64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(b, rng, n, false)
@@ -49,36 +51,38 @@ func benchSweepSetup(b *testing.B, n, parts int) (*CSR, []float64, []float64, []
 	}
 	next := make([]float64, c.N)
 	p := uniformVec(c.N)
-	bounds := PartitionByEdges(c.InOff, parts)
-	return c, next, cur, p, bounds
+	return c, next, cur, p
 }
 
 // BenchmarkSweepPooled measures one round of the persistent pool:
-// resident workers, a broadcast/join barrier, padded delta slots. The
-// pool is spawned once outside the timer, as the engines do.
+// resident workers, a broadcast/join barrier, padded delta slots, and
+// the pool's own dangling mass and scaling of the uniform snapshot. The
+// pool is spawned once outside the timer, as the engines do, and runs
+// at most GOMAXPROCS parts.
 func BenchmarkSweepPooled(b *testing.B) {
 	for _, parts := range []int{1, 4} {
 		b.Run(partsLabel(parts), func(b *testing.B) {
-			c, next, cur, p, bounds := benchSweepSetup(b, 4000, parts)
-			pool := NewSweepPool(len(bounds) - 1)
+			c, next, cur, p := benchSweepSetup(b, 4000)
+			pool := NewSweepPool(c, parts)
 			defer pool.Close()
 			ctx := context.Background()
-			dm := c.DanglingMass(cur)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pool.Sweep(ctx, c, next, cur, p, p, 0.85, dm, bounds)
+				pool.Sweep(ctx, next, cur, p, p, 0.85)
 			}
 		})
 	}
 }
 
 // BenchmarkSweepRespawn measures the same round paying the old
-// per-round costs: parts goroutine spawns, WaitGroup churn, adjacent
-// delta slots.
+// per-round costs: one goroutine spawn per part, WaitGroup churn,
+// adjacent delta slots. It splits at the pool's part count, so the pair
+// compares like with like.
 func BenchmarkSweepRespawn(b *testing.B) {
 	for _, parts := range []int{1, 4} {
 		b.Run(partsLabel(parts), func(b *testing.B) {
-			c, next, cur, p, bounds := benchSweepSetup(b, 4000, parts)
+			c, next, cur, p := benchSweepSetup(b, 4000)
+			bounds := par.Split(c.InOff, PoolParts(parts))
 			partDeltas := make([]float64, len(bounds)-1)
 			ctx := context.Background()
 			dm := c.DanglingMass(cur)

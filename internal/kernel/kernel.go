@@ -25,15 +25,14 @@
 //
 // Partitioning is by EDGE count, not node count: under power-law degree
 // distributions node-balanced ranges degenerate (one worker owns all the
-// hubs), while PartitionByEdges bounds every worker's per-iteration work
-// by edges + nodes in its range.
+// hubs), while SweepPool's par.Split bounds every worker's per-iteration
+// work by edges + nodes in its range.
 package kernel
 
 import "math"
 
-// Source is the view of a directed graph a snapshot is built from.
-// pagerank.DirectedGraph satisfies it structurally; *graph.Graph
-// satisfies both.
+// Source is the view of a directed graph a snapshot is built from:
+// *graph.Graph satisfies it, and pagerank.DirectedGraph is its alias.
 type Source interface {
 	NumNodes() int
 	OutNeighbors(u uint32) []uint32
@@ -99,79 +98,21 @@ type CSR struct {
 // Snapshot freezes src into a pull CSR. When the source exposes an
 // exact materialized in-adjacency (FlatInSource), the offsets and
 // sources are aliased and only the per-edge transition probabilities
-// are computed — one streaming pass instead of the generic two scatter
-// passes. Otherwise it costs two passes over the out-adjacency
-// (O(n+m)). Either way this is the only place the engines touch the
-// graph through an interface; every subsequent sweep is pure slice
-// arithmetic. The returned snapshot draws its scratch from the package
-// pools — call Release when done to recycle it.
+// are computed, in one streaming pass. Otherwise it is the transpose
+// of PushSnapshot(src) (O(n+m)): in-rows list sources in ascending
+// order, as the aliased rows do. Either way every subsequent sweep is
+// pure slice arithmetic. The returned snapshot draws its scratch from
+// the package pools — call Release when done to recycle it.
 func Snapshot(src Source) *CSR {
 	if f, ok := src.(FlatInSource); ok {
 		if off, srcs, exact := f.InCSR(); exact {
 			return snapshotAliased(f, off, srcs)
 		}
 	}
-	n := src.NumNodes()
-	off := GetOff(n + 1)
-	for i := range off {
-		off[i] = 0
-	}
-	dang := GetIDs(n)
-	nd := 0
-	// First pass: in-degree counts. Dangling nodes contribute no edges
-	// (a weighted node with zero total out-weight may still list
-	// neighbors; its rows are all-zero and handled as dangling mass).
-	for u := 0; u < n; u++ {
-		if src.Dangling(uint32(u)) {
-			dang[nd] = uint32(u)
-			nd++
-			continue
-		}
-		for _, v := range src.OutNeighbors(uint32(u)) {
-			off[v+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	m := off[n]
-	srcs := GetIDs(int(m))
-	prob := GetVec(int(m))
-	cursor := GetOff(n)
-	copy(cursor, off[:n])
-	// Second pass: fill, with the per-source reciprocal computed once.
-	for u := 0; u < n; u++ {
-		if src.Dangling(uint32(u)) {
-			continue
-		}
-		adj := src.OutNeighbors(uint32(u))
-		ws := src.OutWeights(uint32(u))
-		if ws == nil {
-			p := 1.0 / float64(len(adj))
-			for _, v := range adj {
-				slot := cursor[v]
-				srcs[slot] = uint32(u)
-				prob[slot] = p
-				cursor[v]++
-			}
-		} else {
-			inv := 1.0 / src.WeightOut(uint32(u))
-			for k, v := range adj {
-				slot := cursor[v]
-				srcs[slot] = uint32(u)
-				prob[slot] = inv * ws[k]
-				cursor[v]++
-			}
-		}
-	}
-	PutOff(cursor)
-	c := &CSR{N: n, InOff: off, InSrc: srcs, InProb: prob,
-		poolOff: true, poolSrc: true, poolProb: true}
-	if nd > 0 {
-		c.DanglingIdx, c.poolDang = dang[:nd], true
-	} else {
-		PutIDs(dang)
-	}
+	push := PushSnapshot(src)
+	c := push.transpose(true)
+	c.poolDang, push.poolDang = push.poolDang, false // c keeps the dangling list
+	push.Release()
 	return c
 }
 
@@ -252,23 +193,31 @@ func (c *CSR) DanglingMass(cur []float64) float64 {
 	return s
 }
 
-// SweepRange computes one pull iteration for targets [lo, hi):
+// Sweep computes one pull iteration over all N targets,
 //
-//	next[v] = (1−eps)·p[v] + eps·danglingMass·d[v] + eps·Σ cur[src]·prob
+//	next[v] = (1−eps)·p[v] + eps·danglingMass·d[v] + eps·Σ cur[src]·prob,
 //
-// and returns the partial L1 delta Σ|next[v]−cur[v]| over the range.
-// It reads only cur and writes only next[lo:hi], so disjoint ranges can
-// run concurrently. The inner loop is pure slice arithmetic: no
-// interface calls, no divisions, no bounds beyond the CSR row. Each
-// row's dot product runs over four independent accumulators: a single
-// running sum serializes on floating-point add latency (every += waits
-// for the previous), which on gather-bound rows costs more than the
-// memory traffic itself. The row split is fixed (positions mod 4), so
-// the result does not depend on lo/hi and worker counts stay
-// bit-identical.
+// with the dangling mass taken from cur, and returns the L1 delta
+// Σ|next[v]−cur[v]|.
 //
 //arlint:hot
-func (c *CSR) SweepRange(next, cur, p, d []float64, lo, hi int, eps, danglingMass float64) float64 {
+func (c *CSR) Sweep(next, cur, p, d []float64, eps float64) float64 {
+	return c.sweepRange(next, cur, p, d, 0, c.N, eps, c.DanglingMass(cur))
+}
+
+// sweepRange is Sweep for targets [lo, hi) with the dangling mass
+// given: it returns the partial delta over the range, reads only cur
+// and writes only next[lo:hi], so disjoint ranges can run
+// concurrently. The inner loop is pure slice arithmetic: no interface
+// calls, no divisions, no bounds beyond the CSR row. Each row's dot
+// product runs over four independent accumulators: a single running
+// sum serializes on floating-point add latency (every += waits for the
+// previous), which on gather-bound rows costs more than the memory
+// traffic itself. The row split is fixed (positions mod 4), so the
+// result does not depend on lo/hi and part counts stay bit-identical.
+//
+//arlint:hot
+func (c *CSR) sweepRange(next, cur, p, d []float64, lo, hi int, eps, danglingMass float64) float64 {
 	base := 1 - eps
 	jump := eps * danglingMass
 	off := c.InOff
@@ -296,18 +245,11 @@ func (c *CSR) SweepRange(next, cur, p, d []float64, lo, hi int, eps, danglingMas
 	return delta
 }
 
-// Sweep is SweepRange over all N targets.
-//
-//arlint:hot
-func (c *CSR) Sweep(next, cur, p, d []float64, eps, danglingMass float64) float64 {
-	return c.SweepRange(next, cur, p, d, 0, c.N, eps, danglingMass)
-}
-
 // Uniform reports whether every in-edge carries probability
 // 1/outdegree(src), enabling the scaled sweep path.
 func (c *CSR) Uniform() bool { return c.InvOut != nil }
 
-// ScaleInto fills scaled[u] = cur[u]·InvOut[u] — the per-source factor
+// scaleInto fills scaled[u] = cur[u]·InvOut[u] — the per-source factor
 // of a uniform snapshot's pull sum, hoisted out of the per-edge loop.
 // Each product is computed once here instead of once per out-edge, and
 // the same double multiplies the same double, so a scaled sweep is
@@ -315,7 +257,7 @@ func (c *CSR) Uniform() bool { return c.InvOut != nil }
 // snapshots.
 //
 //arlint:hot
-func (c *CSR) ScaleInto(scaled, cur []float64) {
+func (c *CSR) scaleInto(scaled, cur []float64) {
 	inv := c.InvOut
 	_ = scaled[len(inv)-1]
 	for u, x := range inv {
@@ -323,14 +265,14 @@ func (c *CSR) ScaleInto(scaled, cur []float64) {
 	}
 }
 
-// SweepRangeScaled is SweepRange for a uniform snapshot with cur
-// pre-scaled by ScaleInto: the per-edge work is a bare gather-add —
-// no probability load, no multiply. cur is still needed for the L1
-// delta. The four-accumulator split matches SweepRange's, so both
-// paths produce bit-identical iterates.
+// sweepRangeScaled is sweepRange for a uniform snapshot with cur
+// pre-scaled by scaleInto: the per-edge work is a bare gather-add — no
+// probability load, no multiply. cur is still needed for the L1 delta.
+// The four-accumulator split matches sweepRange's, so both paths
+// produce bit-identical iterates.
 //
 //arlint:hot
-func (c *CSR) SweepRangeScaled(next, scaled, cur, p, d []float64, lo, hi int, eps, danglingMass float64) float64 {
+func (c *CSR) sweepRangeScaled(next, scaled, cur, p, d []float64, lo, hi int, eps, danglingMass float64) float64 {
 	base := 1 - eps
 	jump := eps * danglingMass
 	off, srcs := c.InOff, c.InSrc
@@ -354,40 +296,4 @@ func (c *CSR) SweepRangeScaled(next, scaled, cur, p, d []float64, lo, hi int, ep
 		delta += math.Abs(x - cur[v])
 	}
 	return delta
-}
-
-// SweepScaled is SweepRangeScaled over all N targets.
-//
-//arlint:hot
-func (c *CSR) SweepScaled(next, scaled, cur, p, d []float64, eps, danglingMass float64) float64 {
-	return c.SweepRangeScaled(next, scaled, cur, p, d, 0, c.N, eps, danglingMass)
-}
-
-// PartitionByEdges splits targets [0, n) into parts contiguous ranges of
-// roughly equal sweep cost, costing each target its in-degree plus one
-// (the constant per-node work). Node-count-balanced ranges degenerate
-// under power-law in-degrees — one range inherits every hub — while the
-// cumulative-cost walk here bounds each part near total/parts. Returns
-// parts+1 ascending bounds; some trailing parts may be empty when
-// parts > n.
-func PartitionByEdges(off []int64, parts int) []int {
-	n := len(off) - 1
-	if parts > n {
-		parts = n
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	bounds := make([]int, parts+1)
-	total := off[n] + int64(n)
-	v := 0
-	for w := 1; w < parts; w++ {
-		target := total * int64(w) / int64(parts)
-		for v < n && off[v]+int64(v) < target {
-			v++
-		}
-		bounds[w] = v
-	}
-	bounds[parts] = n
-	return bounds
 }

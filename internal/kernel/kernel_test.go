@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -100,7 +101,7 @@ func TestSnapshotSweepMatchesPush(t *testing.T) {
 		want := pushReference(g, cur, p, p, 0.85)
 		for name, pull := range map[string]*CSR{"snapshot": c, "push transpose": push.Pull()} {
 			next := make([]float64, n)
-			pull.Sweep(next, cur, p, p, 0.85, pull.DanglingMass(cur))
+			pull.Sweep(next, cur, p, p, 0.85)
 			for v := 0; v < n; v++ {
 				if math.Abs(next[v]-want[v]) > 1e-12 {
 					t.Fatalf("trial %d %s: next[%d] = %v, push reference %v", trial, name, v, next[v], want[v])
@@ -122,7 +123,7 @@ func TestSweepDelta(t *testing.T) {
 	defer c.Release()
 	cur := uniformVec(n)
 	next := make([]float64, n)
-	delta := c.Sweep(next, cur, cur, cur, 0.85, c.DanglingMass(cur))
+	delta := c.Sweep(next, cur, cur, cur, 0.85)
 	want := 0.0
 	for i := range next {
 		want += math.Abs(next[i] - cur[i])
@@ -137,6 +138,7 @@ func TestSweepDelta(t *testing.T) {
 // each target's in-row is accumulated whole, in CSR order, no matter
 // how targets are partitioned.
 func TestSweepPoolBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(t, rng, 300, true)
 	n := g.NumNodes()
@@ -147,14 +149,15 @@ func TestSweepPoolBitIdentical(t *testing.T) {
 		cur[i] = rng.Float64()
 	}
 	p := uniformVec(n)
-	dm := c.DanglingMass(cur)
 	ref := make([]float64, n)
-	refDelta := c.Sweep(ref, cur, p, p, 0.85, dm)
+	refDelta := c.Sweep(ref, cur, p, p, 0.85)
 	for _, workers := range []int{1, 2, 3, 8} {
-		bounds := PartitionByEdges(c.InOff, workers)
-		pool := NewSweepPool(len(bounds) - 1)
+		pool := NewSweepPool(c, workers)
+		if pool.Parts() != workers {
+			t.Fatalf("pool for %d parts has %d", workers, pool.Parts())
+		}
 		next := make([]float64, n)
-		delta := pool.Sweep(context.Background(), c, next, cur, p, p, 0.85, dm, bounds)
+		delta := pool.Sweep(context.Background(), next, cur, p, p, 0.85)
 		pool.Close()
 		for v := range next {
 			if next[v] != ref[v] {
@@ -170,33 +173,45 @@ func TestSweepPoolBitIdentical(t *testing.T) {
 // TestSweepPoolReusedRounds: the point of the pool is running MANY
 // rounds over the same resident workers. Drive a short power iteration
 // through a pool and check every iterate against the sequential sweep
-// — bit-identical at each round, with the same cur/next swap.
+// — bit-identical at each round, with the same cur/next swap — on a
+// weighted snapshot and on a uniform one, which the pool sweeps
+// through its own pre-scaled vector. The pool caps its parts at
+// GOMAXPROCS, so the test raises it to get four.
 func TestSweepPoolReusedRounds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(15))
-	g := randomGraph(t, rng, 250, true)
-	n := g.NumNodes()
-	c := Snapshot(g)
-	defer c.Release()
+	for _, weighted := range []bool{true, false} {
+		g := randomGraph(t, rng, 250, weighted)
+		c := Snapshot(g)
+		if c.Uniform() == weighted {
+			t.Fatalf("weighted=%v snapshot has Uniform()=%v", weighted, c.Uniform())
+		}
+		sweepPoolRounds(t, c, 4)
+		c.Release()
+	}
+}
+
+// sweepPoolRounds runs 12 rounds of a parts-part pool over c beside
+// the sequential sweep and fails on the first bit that differs.
+func sweepPoolRounds(t *testing.T, c *CSR, parts int) {
+	t.Helper()
+	n := c.N
 	p := uniformVec(n)
-	bounds := PartitionByEdges(c.InOff, 4)
-	pool := NewSweepPool(len(bounds) - 1)
+	pool := NewSweepPool(c, parts)
 	defer pool.Close()
-	if pool.Parts() != len(bounds)-1 {
-		t.Fatalf("pool has %d parts, want %d", pool.Parts(), len(bounds)-1)
+	if pool.Parts() != parts {
+		t.Fatalf("pool has %d parts, want %d", pool.Parts(), parts)
 	}
 	cur, next := append([]float64(nil), p...), make([]float64, n)
 	seqCur, seqNext := append([]float64(nil), p...), make([]float64, n)
 	for round := 0; round < 12; round++ {
-		dm := c.DanglingMass(cur)
-		got := pool.Sweep(context.Background(), c, next, cur, p, p, 0.85, dm, bounds)
-		want := c.Sweep(seqNext, seqCur, p, p, 0.85, c.DanglingMass(seqCur))
+		pool.Sweep(context.Background(), next, cur, p, p, 0.85)
+		c.Sweep(seqNext, seqCur, p, p, 0.85)
 		for v := range next {
 			if next[v] != seqNext[v] {
 				t.Fatalf("round %d: next[%d] = %v differs from sequential %v", round, v, next[v], seqNext[v])
 			}
 		}
-		_ = got
-		_ = want
 		cur, next = next, cur
 		seqCur, seqNext = seqNext, seqCur
 	}
@@ -206,6 +221,7 @@ func TestSweepPoolReusedRounds(t *testing.T) {
 // scanning; the caller-side contract is that next is then untrusted,
 // which the engines enforce with a post-barrier ctx check.
 func TestSweepPoolCancelled(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(10))
 	g := randomGraph(t, rng, 50, false)
 	c := Snapshot(g)
@@ -215,14 +231,26 @@ func TestSweepPoolCancelled(t *testing.T) {
 	next := make([]float64, n)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	bounds := PartitionByEdges(c.InOff, 4)
-	pool := NewSweepPool(len(bounds) - 1)
+	pool := NewSweepPool(c, 4)
 	defer pool.Close()
-	pool.Sweep(ctx, c, next, cur, cur, cur, 0.85, 0, bounds)
+	pool.Sweep(ctx, next, cur, cur, cur, 0.85)
 	for _, x := range next {
 		if x != 0 {
 			t.Fatal("cancelled sweep wrote into next")
 		}
+	}
+}
+
+// TestSweepPoolCapsParts: a pool runs at most GOMAXPROCS parts,
+// whatever it is asked for.
+func TestSweepPoolCapsParts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := Snapshot(randomGraph(t, rand.New(rand.NewSource(16)), 100, false))
+	defer c.Release()
+	pool := NewSweepPool(c, 8)
+	defer pool.Close()
+	if pool.Parts() != 2 || PoolParts(8) != 2 {
+		t.Fatalf("at GOMAXPROCS 2: pool has %d parts, PoolParts(8) = %d; want 2", pool.Parts(), PoolParts(8))
 	}
 }
 
@@ -236,10 +264,11 @@ func TestDeltaPadFillsCacheLine(t *testing.T) {
 	}
 }
 
-// TestPartitionByEdges: bounds are monotone, cover [0,n], and every
-// part's edge+node cost stays near the ideal share even when one hub
-// holds most in-edges.
+// TestPartitionByEdges: a pool's bounds are monotone, cover [0,n], and
+// every part's edge+node cost stays near the ideal share even when one
+// hub holds most in-edges.
 func TestPartitionByEdges(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	// A star: node 0 has n-1 in-edges, everyone else ≤ 1.
 	n := 1000
 	b := graph.NewBuilder(n)
@@ -253,7 +282,9 @@ func TestPartitionByEdges(t *testing.T) {
 	c := Snapshot(g)
 	defer c.Release()
 	for _, parts := range []int{1, 2, 4, 7, 16} {
-		bounds := PartitionByEdges(c.InOff, parts)
+		pool := NewSweepPool(c, parts)
+		bounds := pool.bounds
+		pool.Close()
 		if bounds[0] != 0 || bounds[len(bounds)-1] != n {
 			t.Fatalf("parts=%d: bounds do not cover [0,%d]: %v", parts, n, bounds)
 		}
@@ -275,7 +306,9 @@ func TestPartitionByEdges(t *testing.T) {
 	// parts > n clamps.
 	small := Snapshot(graph.MustFromEdges(3, [][2]graph.NodeID{{0, 1}, {1, 2}}))
 	defer small.Release()
-	bounds := PartitionByEdges(small.InOff, 16)
+	pool := NewSweepPool(small, 16)
+	defer pool.Close()
+	bounds := pool.bounds
 	if len(bounds) != 4 || bounds[3] != 3 {
 		t.Fatalf("clamped bounds wrong: %v", bounds)
 	}
@@ -319,7 +352,7 @@ func TestPushSnapshotMatchesOracle(t *testing.T) {
 			p := uniformVec(n)
 			want := pushReference(g, cur, p, p, 0.85)
 			next := make([]float64, n)
-			c.Sweep(next, cur, p, p, 0.85, c.DanglingMass(cur))
+			c.Sweep(next, cur, p, p, 0.85)
 			for v := 0; v < n; v++ {
 				if math.Abs(next[v]-want[v]) > 1e-12 {
 					t.Fatalf("trial %d: next[%d] = %v, oracle %v", trial, v, next[v], want[v])
@@ -339,7 +372,7 @@ func TestPushSweepDelta(t *testing.T) {
 	defer c.Release()
 	cur := uniformVec(n)
 	next := make([]float64, n)
-	delta := c.Sweep(next, cur, cur, cur, 0.85, c.DanglingMass(cur))
+	delta := c.Sweep(next, cur, cur, cur, 0.85)
 	want := 0.0
 	for i := range next {
 		want += math.Abs(next[i] - cur[i])
@@ -369,11 +402,11 @@ func TestScaledSweepBitIdentical(t *testing.T) {
 	p := uniformVec(n)
 	dm := c.DanglingMass(cur)
 	ref := make([]float64, n)
-	refDelta := c.Sweep(ref, cur, p, p, 0.85, dm)
+	refDelta := c.Sweep(ref, cur, p, p, 0.85)
 	scaled := make([]float64, n)
-	c.ScaleInto(scaled, cur)
+	c.scaleInto(scaled, cur)
 	next := make([]float64, n)
-	delta := c.SweepScaled(next, scaled, cur, p, p, 0.85, dm)
+	delta := c.sweepRangeScaled(next, scaled, cur, p, p, 0, n, 0.85, dm)
 	if delta != refDelta {
 		t.Fatalf("scaled delta %v differs from probability-path delta %v", delta, refDelta)
 	}
@@ -382,12 +415,16 @@ func TestScaledSweepBitIdentical(t *testing.T) {
 			t.Fatalf("next[%d] = %v not bit-identical to %v", v, next[v], ref[v])
 		}
 	}
-	// The pooled scaled sweep preserves the same identity.
-	bounds := PartitionByEdges(c.InOff, 3)
-	pool := NewSweepPool(len(bounds) - 1)
+	// The pool sweeps a uniform snapshot through its own scaled vector,
+	// with the same identity.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	pool := NewSweepPool(c, 3)
 	defer pool.Close()
+	if pool.scaled == nil {
+		t.Fatal("pool over a uniform snapshot has no scaled vector")
+	}
 	par := make([]float64, n)
-	pool.SweepScaled(context.Background(), c, par, scaled, cur, p, p, 0.85, dm, bounds)
+	pool.Sweep(context.Background(), par, cur, p, p, 0.85)
 	for v := 0; v < n; v++ {
 		if par[v] != ref[v] {
 			t.Fatalf("pooled scaled next[%d] = %v not bit-identical to %v", v, par[v], ref[v])
@@ -413,8 +450,8 @@ func TestSnapshotAliasMatchesGeneric(t *testing.T) {
 	p := uniformVec(n)
 	a := make([]float64, n)
 	b := make([]float64, n)
-	da := aliased.Sweep(a, cur, p, p, 0.85, aliased.DanglingMass(cur))
-	db := generic.Sweep(b, cur, p, p, 0.85, generic.DanglingMass(cur))
+	da := aliased.Sweep(a, cur, p, p, 0.85)
+	db := generic.Sweep(b, cur, p, p, 0.85)
 	if da != db {
 		t.Fatalf("aliased delta %v differs from generic %v", da, db)
 	}

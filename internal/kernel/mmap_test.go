@@ -87,8 +87,8 @@ func TestSnapshotOverMmapGraph(t *testing.T) {
 	if dm2 := mapped.DanglingMass(cur); dm != dm2 {
 		t.Fatalf("dangling mass differs: %v vs %v", dm, dm2)
 	}
-	heap.Sweep(next1, cur, p, p, 0.85, dm)
-	mapped.Sweep(next2, cur, p, p, 0.85, dm)
+	heap.Sweep(next1, cur, p, p, 0.85)
+	mapped.Sweep(next2, cur, p, p, 0.85)
 	for i := range next1 {
 		if next1[i] != next2[i] {
 			t.Fatalf("sweep result differs at %d: %v vs %v", i, next1[i], next2[i])
@@ -128,9 +128,11 @@ func TestPushSnapshotOverMmapGraph(t *testing.T) {
 	}
 	next1 := make([]float64, n)
 	next2 := make([]float64, n)
-	dm := heap.DanglingMass(cur)
-	heap.Sweep(next1, cur, p, p, 0.85, dm)
-	mapped.Sweep(next2, cur, p, p, 0.85, dm)
+	if dm, dm2 := heap.DanglingMass(cur), mapped.DanglingMass(cur); dm != dm2 {
+		t.Fatalf("dangling mass differs: %v vs %v", dm, dm2)
+	}
+	heap.Sweep(next1, cur, p, p, 0.85)
+	mapped.Sweep(next2, cur, p, p, 0.85)
 	for i := range next1 {
 		if next1[i] != next2[i] {
 			t.Fatalf("push sweep differs at %d: %v vs %v", i, next1[i], next2[i])

@@ -182,20 +182,20 @@ func (c *PushCSR) DanglingMass(cur []float64) float64 {
 	return s
 }
 
-// Sweep computes one push iteration over all states:
+// Sweep computes one push iteration over all states,
 //
-//	next[v] = (1−eps)·p[v] + eps·danglingMass·d[v] + eps·Σ cur[src]·prob
+//	next[v] = (1−eps)·p[v] + eps·danglingMass·d[v] + eps·Σ cur[src]·prob,
 //
-// in three passes — initialize next from the jump terms (streaming),
+// with the dangling mass taken from cur, in three passes — initialize next from the jump terms (streaming),
 // push every source's scaled score along its out-row (the random
 // stores), then accumulate the L1 delta (streaming) — and returns the
 // delta. Zero interface calls and zero divisions anywhere; sources
 // with no mass to move (dangling, or score exactly 0) skip their row.
 //
 //arlint:hot
-func (c *PushCSR) Sweep(next, cur, p, d []float64, eps, danglingMass float64) float64 {
+func (c *PushCSR) Sweep(next, cur, p, d []float64, eps float64) float64 {
 	base := 1 - eps
-	jump := eps * danglingMass
+	jump := eps * c.DanglingMass(cur)
 	n := c.N
 	for v := 0; v < n; v++ {
 		next[v] = base*p[v] + jump*d[v]
@@ -238,14 +238,26 @@ func (c *PushCSR) Sweep(next, cur, p, d []float64, eps, danglingMass float64) fl
 // in c's row order, so a pull sweep over it computes c's matrix. The
 // result is heap-allocated, not pooled, and shares c's dangling list
 // and weights: it must not outlive a Released c.
-func (c *PushCSR) Pull() *CSR {
+func (c *PushCSR) Pull() *CSR { return c.transpose(false) }
+
+// transpose is Pull with the slices drawn from the package pools when
+// pooled is set, marked so CSR.Release returns them.
+func (c *PushCSR) transpose(pooled bool) *CSR {
 	n := c.N
 	m := c.OutOff[n]
 	dst := c.OutDst[:m]
+	var off []int64
+	var srcs []uint32
+	var prob []float64
+	if pooled {
+		off, srcs, prob = GetOff(n+1), GetIDs(int(m)), GetVec(int(m))
+		clear(off)
+	} else {
+		off, srcs, prob = make([]int64, n+1), make([]uint32, m), make([]float64, m)
+	}
 	// Count each target's in-edges at off[v+1], turn the counts into row
 	// starts shifted by one, then fill: off[v+1] advances from v's start
 	// to its end, which is where the next row starts.
-	off := make([]int64, n+1)
 	for _, v := range dst {
 		off[v+1]++
 	}
@@ -253,8 +265,6 @@ func (c *PushCSR) Pull() *CSR {
 	for v := 1; v <= n; v++ {
 		at, off[v] = at+off[v], at
 	}
-	srcs := make([]uint32, m)
-	prob := make([]float64, m)
 	for u := 0; u < n; u++ {
 		for k := c.OutOff[u]; k < c.OutOff[u+1]; k++ {
 			slot := off[dst[k]+1]
@@ -267,5 +277,6 @@ func (c *PushCSR) Pull() *CSR {
 			}
 		}
 	}
-	return &CSR{N: n, InOff: off, InSrc: srcs, InProb: prob, DanglingIdx: c.DanglingIdx, DanglingW: c.DanglingW}
+	return &CSR{N: n, InOff: off, InSrc: srcs, InProb: prob, DanglingIdx: c.DanglingIdx, DanglingW: c.DanglingW,
+		poolOff: pooled, poolSrc: pooled, poolProb: pooled}
 }

@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"context"
-	"sync"
+	"runtime"
+
+	"repro/internal/par"
 )
 
 // deltaPad is the stride, in float64 slots, between the per-worker
@@ -16,51 +18,28 @@ import (
 // after the barrier.
 const deltaPad = 8
 
-// sweepJob is one round's worth of work, broadcast to every pool
-// worker: the frozen snapshot, the iteration vectors, and the shared
-// partition bounds. scaled selects the kernel: nil runs the
-// probability-carrying SweepRange, non-nil the gather-add
-// SweepRangeScaled of a uniform snapshot.
-type sweepJob struct {
-	ctx               context.Context
-	c                 *CSR
-	next, scaled, cur []float64
-	p, d              []float64
-	bounds            []int
-	eps, danglingMass float64
-}
+// PoolParts returns the part count a SweepPool asked for parts runs at
+// most: parts capped at GOMAXPROCS, because parts beyond the
+// schedulable CPUs cannot run concurrently and only add barrier
+// traffic. An engine whose request comes out at one part sweeps a
+// PushCSR instead, which is faster than a one-part pull.
+func PoolParts(parts int) int { return min(parts, runtime.GOMAXPROCS(0)) }
 
-// sweepPart runs the job's range for worker w, or nothing when the
-// round's context is already cancelled (the early-out half of the
-// pool's cancellation contract).
-func (job *sweepJob) sweepPart(w int) float64 {
-	if job.ctx.Err() != nil {
-		return 0 // cancelled: skip the range scan, the barrier still holds
-	}
-	lo, hi := job.bounds[w], job.bounds[w+1]
-	if job.scaled != nil {
-		return job.c.SweepRangeScaled(job.next, job.scaled, job.cur, job.p, job.d, lo, hi, job.eps, job.danglingMass)
-	}
-	return job.c.SweepRange(job.next, job.cur, job.p, job.d, lo, hi, job.eps, job.danglingMass)
-}
-
-// SweepPool is a persistent, round-barriered team of sweep workers. A
-// convergence loop spawns it once, calls Sweep or SweepScaled once per
-// iteration, and Closes it when done — amortizing goroutine creation
-// across the whole run instead of paying one spawn+join per worker per
-// round, which costs goroutine creation, WaitGroup churn and an
-// allocation per worker every iteration. The calling goroutine
-// participates as worker 0, so a pool of P parts keeps exactly P
-// runnable goroutines and a single-part pool runs the sweep inline
-// with no synchronization at all.
+// SweepPool runs pull sweeps of one CSR over a resident par.Team, each
+// worker owning a disjoint, edge-balanced range of targets. A
+// convergence loop creates it once, calls Sweep once per iteration and
+// Closes it when done. The pool owns everything a parallel round needs
+// besides the iteration vectors: the partition (par.Split over the
+// CSR's in-rows, at PoolParts(parts) parts), the round's dangling mass
+// and, on a Uniform snapshot, the pre-scaled vector of the gather-add
+// sweep.
 //
-// Each round is a broadcast/join barrier: the coordinator hands the
-// same job to every worker over its private buffered channel, sweeps
-// part 0 itself, and waits for the team. Workers write their partial
-// L1 deltas into cache-line-padded slots (deltaPad) of a pooled
-// scratch vector; the coordinator sums the slots in part order after
-// the barrier, so for a fixed partition the result is bit-identical
-// to the sequential sweep's part-ordered reduction.
+// Workers write their partial L1 deltas into cache-line-padded slots
+// (deltaPad) of a pooled scratch vector; Sweep sums the slots in part
+// order after the barrier, so for a fixed partition the result is
+// bit-deterministic. Every next[v] is accumulated over v's whole
+// in-row no matter where the range bounds fall, so the iterate is
+// bit-identical to CSR.Sweep for every part count.
 //
 // Cancellation: a cancelled context makes workers skip their range
 // scan, leaving next stale, so ctx.Err() must be checked after the
@@ -69,78 +48,71 @@ func (job *sweepJob) sweepPart(w int) float64 {
 //
 // A SweepPool is NOT safe for concurrent rounds: one Sweep at a time.
 type SweepPool struct {
-	parts  int
-	deltas []float64       // parts*deltaPad slots; worker w owns [w*deltaPad]
-	jobs   []chan sweepJob // workers 1..parts-1, one buffered channel each
-	wg     sync.WaitGroup
+	c      *CSR
+	bounds []int     // parts+1 ascending target bounds
+	scaled []float64 // cur·InvOut for the round; nil unless c.Uniform()
+	deltas []float64 // parts*deltaPad slots; worker w owns [w*deltaPad]
+	team   par.Team
+	part   func(w int) // sweepPart, bound once so rounds do not allocate
+
+	// The round's inputs, written by Sweep before the broadcast.
+	ctx               context.Context
+	next, cur, p, d   []float64
+	eps, danglingMass float64
 }
 
-// NewSweepPool spawns a pool of parts sweep workers (parts-1
-// goroutines plus the caller). Sweep and SweepScaled must then be
-// called with bounds of exactly parts+1 entries — normally the value
-// PartitionByEdges returned, whose part count the caller passes here.
-func NewSweepPool(parts int) *SweepPool {
-	if parts < 1 {
-		parts = 1
+// NewSweepPool partitions c's targets into at most PoolParts(parts)
+// edge-balanced ranges (fewer on graphs with fewer states) and starts
+// one worker per range, the caller included.
+func NewSweepPool(c *CSR, parts int) *SweepPool {
+	sp := &SweepPool{c: c, bounds: par.Split(c.InOff, PoolParts(parts))}
+	sp.deltas = GetVec(sp.Parts() * deltaPad)
+	if c.Uniform() {
+		sp.scaled = GetVec(c.N)
 	}
-	sp := &SweepPool{parts: parts, deltas: GetVec(parts * deltaPad)}
-	if parts > 1 {
-		sp.jobs = make([]chan sweepJob, parts-1)
-		for w := 1; w < parts; w++ {
-			ch := make(chan sweepJob, 1)
-			sp.jobs[w-1] = ch
-			go sp.worker(w, ch)
-		}
-	}
+	sp.part = sp.sweepPart
+	sp.team.Start(sp.Parts())
 	return sp
 }
 
 // Parts returns the pool's worker count (including the caller).
-func (sp *SweepPool) Parts() int { return sp.parts }
+func (sp *SweepPool) Parts() int { return len(sp.bounds) - 1 }
 
-// worker is the body of one persistent pool goroutine: sweep the
-// round's part, publish the partial delta into the worker's padded
-// slot, hit the barrier, sleep until the next round. The loop ends
-// when Close closes the job channel.
-func (sp *SweepPool) worker(w int, jobs <-chan sweepJob) {
-	for job := range jobs {
-		sp.deltas[w*deltaPad] = job.sweepPart(w)
-		sp.wg.Done()
-	}
-}
-
-// Sweep runs one pull iteration of c over the partition bounds (len
-// parts+1, as produced by PartitionByEdges for the pool's part count)
-// and returns the L1 delta summed in part order — bit-deterministic
-// for a fixed partition. See the type comment for the cancellation
+// Sweep runs one pull iteration,
+//
+//	next[v] = (1−eps)·p[v] + eps·danglingMass·d[v] + eps·Σ cur[src]·prob,
+//
+// with the dangling mass taken from cur, and returns the L1 delta
+// summed in part order. See the type comment for the cancellation
 // contract.
-func (sp *SweepPool) Sweep(ctx context.Context, c *CSR, next, cur, p, d []float64, eps, danglingMass float64, bounds []int) float64 {
-	return sp.round(sweepJob{ctx: ctx, c: c, next: next, cur: cur, p: p, d: d,
-		bounds: bounds, eps: eps, danglingMass: danglingMass})
-}
-
-// SweepScaled is Sweep on the scaled path of a uniform snapshot: the
-// caller runs ScaleInto first; scaled is read-only during the round.
-func (sp *SweepPool) SweepScaled(ctx context.Context, c *CSR, next, scaled, cur, p, d []float64, eps, danglingMass float64, bounds []int) float64 {
-	return sp.round(sweepJob{ctx: ctx, c: c, next: next, scaled: scaled, cur: cur, p: p, d: d,
-		bounds: bounds, eps: eps, danglingMass: danglingMass})
-}
-
-// round broadcasts job to the resident workers, sweeps part 0 on the
-// calling goroutine, joins the barrier and reduces the padded delta
-// slots in part order.
-func (sp *SweepPool) round(job sweepJob) float64 {
-	sp.wg.Add(len(sp.jobs))
-	for _, ch := range sp.jobs {
-		ch <- job
+func (sp *SweepPool) Sweep(ctx context.Context, next, cur, p, d []float64, eps float64) float64 {
+	if sp.scaled != nil {
+		sp.c.scaleInto(sp.scaled, cur)
 	}
-	sp.deltas[0] = job.sweepPart(0)
-	sp.wg.Wait()
+	sp.ctx, sp.next, sp.cur, sp.p, sp.d = ctx, next, cur, p, d
+	sp.eps, sp.danglingMass = eps, sp.c.DanglingMass(cur)
+	sp.team.Run(sp.part)
 	delta := 0.0
-	for w := 0; w < sp.parts; w++ {
+	for w := range sp.Parts() {
 		delta += sp.deltas[w*deltaPad]
 	}
 	return delta
+}
+
+// sweepPart sweeps worker w's range into its padded delta slot, or
+// nothing when the round's context is already cancelled (the early-out
+// half of the cancellation contract).
+func (sp *SweepPool) sweepPart(w int) {
+	if sp.ctx.Err() != nil {
+		sp.deltas[w*deltaPad] = 0 // cancelled: skip the range scan, the barrier still holds
+		return
+	}
+	lo, hi := sp.bounds[w], sp.bounds[w+1]
+	if sp.scaled != nil {
+		sp.deltas[w*deltaPad] = sp.c.sweepRangeScaled(sp.next, sp.scaled, sp.cur, sp.p, sp.d, lo, hi, sp.eps, sp.danglingMass)
+	} else {
+		sp.deltas[w*deltaPad] = sp.c.sweepRange(sp.next, sp.cur, sp.p, sp.d, lo, hi, sp.eps, sp.danglingMass)
+	}
 }
 
 // Close stops the resident workers and recycles the pool's scratch.
@@ -148,10 +120,9 @@ func (sp *SweepPool) round(job sweepJob) float64 {
 // concurrently with a round (the engines call it after the
 // convergence loop exits).
 func (sp *SweepPool) Close() {
-	for _, ch := range sp.jobs {
-		close(ch)
-	}
-	sp.jobs = nil
+	sp.team.Stop()
 	PutVec(sp.deltas)
-	sp.deltas = nil
+	PutVec(sp.scaled)
+	sp.deltas, sp.scaled = nil, nil
+	sp.ctx, sp.next, sp.cur, sp.p, sp.d = nil, nil, nil, nil, nil
 }

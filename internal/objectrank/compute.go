@@ -113,7 +113,7 @@ func Compute(d *DataGraph, baseSet []graph.NodeID, cfg Config) (*Result, error) 
 	next := make([]float64, n)
 	eps := cfg.Epsilon
 	deltas, converged, err := kernel.Iterate(context.Background(), cfg.MaxIterations, cfg.Tolerance, func() float64 {
-		delta := a.Sweep(next, cur, q, q, eps, 0)
+		delta := a.Sweep(next, cur, q, q, eps)
 		cur, next = next, cur
 		return delta
 	})

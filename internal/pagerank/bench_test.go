@@ -42,9 +42,8 @@ func BenchmarkComputeSequential(b *testing.B) {
 	b.ReportMetric(float64(res.Iterations), "iterations")
 }
 
-// BenchmarkComputeParallel measures the worker-pool power iteration of
-// parallel.go at a fixed worker count, so runs are comparable across
-// machines.
+// BenchmarkComputeParallel measures the pooled pull power iteration at
+// a fixed requested worker count (the pool caps it at GOMAXPROCS).
 func BenchmarkComputeParallel(b *testing.B) {
 	g := benchWeb(b, 50000, 8)
 	opts := Options{Tolerance: 1e-8, Parallelism: 4}

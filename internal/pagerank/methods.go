@@ -16,8 +16,7 @@ import (
 // the moment a dangling page's score changes, so the dangling component
 // converges at the Gauss–Seidel rate rather than lagging a full sweep
 // behind. The snapshot materializes the in-adjacency with precomputed
-// transition probabilities, so the scheme no longer requires the graph
-// to implement InEdgeGraph and the inner loop performs no interface
+// transition probabilities, so the inner loop performs no interface
 // calls or divisions.
 func computeGaussSeidel(ctx context.Context, g DirectedGraph, opts Options) (*Result, error) {
 	n := g.NumNodes()
@@ -72,83 +71,49 @@ func computeGaussSeidel(ctx context.Context, g DirectedGraph, opts Options) (*Re
 // fixed base vector and the page drops out of the per-iteration work. On
 // web-like graphs most pages freeze early, cutting per-iteration cost
 // while perturbing the fixpoint by at most ~N·AdaptiveFreeze in L1.
+// The graph is read through a kernel.PushSnapshot, as computePower's
+// sequential path reads it.
 func computeAdaptive(ctx context.Context, g DirectedGraph, opts Options) (*Result, error) {
 	n := g.NumNodes()
 	start := time.Now()
-	uniform := 1.0 / float64(n)
-	pAt := func(i int) float64 {
-		if opts.Personalization == nil {
-			return uniform
-		}
-		return opts.Personalization[i]
-	}
-	dAt := func(i int) float64 {
-		if opts.DanglingDist == nil {
-			return pAt(i)
-		}
-		return opts.DanglingDist[i]
-	}
+	csr := kernel.PushSnapshot(g)
+	defer csr.Release()
+	p, d, pooled := jumpVectors(n, &opts)
+	defer kernel.PutVec(pooled)
 
-	cur := make([]float64, n)
-	if opts.Start != nil {
-		copy(cur, opts.Start)
-	} else {
-		for i := range cur {
-			cur[i] = pAt(i)
-		}
-	}
-	next := make([]float64, n)
-	frozen := make([]bool, n)
-	small := make([]uint8, n) // consecutive small-delta count
 	// frozenBase[v] accumulates ε·x_u·A[u][v] over frozen u (link part);
 	// frozenDangling accumulates the scores of frozen dangling pages.
-	frozenBase := make([]float64, n)
+	cur := kernel.GetVec(n)
+	next := kernel.GetVec(n)
+	frozenBase := kernel.GetVec(n)
+	defer kernel.PutVec(cur)
+	defer kernel.PutVec(next)
+	defer kernel.PutVec(frozenBase)
+	initStart(cur, p, &opts)
+	clear(frozenBase)
 	frozenDangling := 0.0
+	frozen := make([]bool, n)
+	small := make([]uint8, n) // consecutive small-delta count
 	nFrozen := 0
 
 	threshold := opts.AdaptiveFreeze / float64(n)
 	eps := opts.Epsilon
 	deltas, converged, err := iterate(ctx, &opts, func() float64 {
-		activeDangling := 0.0
-		for u := 0; u < n; u++ {
-			if !frozen[u] && g.Dangling(uint32(u)) {
-				activeDangling += cur[u]
+		danglingMass := 0.0
+		for _, u := range csr.DanglingIdx {
+			if !frozen[u] {
+				danglingMass += cur[u]
 			}
 		}
-		danglingMass := activeDangling + frozenDangling
+		danglingMass += frozenDangling
 		for v := 0; v < n; v++ {
-			if frozen[v] {
-				continue
+			if !frozen[v] {
+				next[v] = (1-eps)*p[v] + eps*danglingMass*d[v] + frozenBase[v]
 			}
-			next[v] = (1-eps)*pAt(v) + eps*danglingMass*dAt(v) + frozenBase[v]
 		}
 		for u := 0; u < n; u++ {
-			if frozen[u] || cur[u] == 0 {
-				continue
-			}
-			adj := g.OutNeighbors(uint32(u))
-			if len(adj) == 0 {
-				continue
-			}
-			ws := g.OutWeights(uint32(u))
-			if ws == nil {
-				share := eps * cur[u] / float64(len(adj))
-				for _, v := range adj {
-					if !frozen[v] {
-						next[v] += share
-					}
-				}
-			} else {
-				wout := g.WeightOut(uint32(u))
-				if wout == 0 {
-					continue
-				}
-				scale := eps * cur[u] / wout
-				for k, v := range adj {
-					if !frozen[v] {
-						next[v] += scale * ws[k]
-					}
-				}
+			if !frozen[u] && cur[u] != 0 {
+				pushActive(csr, next, frozen, u, eps*cur[u])
 			}
 		}
 
@@ -157,10 +122,10 @@ func computeAdaptive(ctx context.Context, g DirectedGraph, opts Options) (*Resul
 			if frozen[v] {
 				continue
 			}
-			d := math.Abs(next[v] - cur[v])
-			delta += d
+			dv := math.Abs(next[v] - cur[v])
+			delta += dv
 			cur[v] = next[v]
-			if d < threshold {
+			if dv < threshold {
 				small[v]++
 			} else {
 				small[v] = 0
@@ -168,32 +133,18 @@ func computeAdaptive(ctx context.Context, g DirectedGraph, opts Options) (*Resul
 		}
 
 		// Freeze pages that have been stable twice in a row, folding their
-		// now-constant contributions into the base.
+		// now-constant contributions into the base. A snapshot row is
+		// empty exactly when its page is dangling.
 		for u := 0; u < n; u++ {
 			if frozen[u] || small[u] < 2 {
 				continue
 			}
 			frozen[u] = true
 			nFrozen++
-			if g.Dangling(uint32(u)) {
+			if csr.OutOff[u] == csr.OutOff[u+1] {
 				frozenDangling += cur[u]
-				continue
-			}
-			adj := g.OutNeighbors(uint32(u))
-			ws := g.OutWeights(uint32(u))
-			if ws == nil {
-				share := eps * cur[u] / float64(len(adj))
-				for _, v := range adj {
-					frozenBase[v] += share
-				}
 			} else {
-				wout := g.WeightOut(uint32(u))
-				if wout > 0 {
-					scale := eps * cur[u] / wout
-					for k, v := range adj {
-						frozenBase[v] += scale * ws[k]
-					}
-				}
+				pushActive(csr, frozenBase, frozen, u, eps*cur[u])
 			}
 		}
 		return delta
@@ -201,7 +152,37 @@ func computeAdaptive(ctx context.Context, g DirectedGraph, opts Options) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	normalize(cur)
-	return &Result{Scores: cur, Iterations: len(deltas), Converged: converged, Deltas: deltas,
-		FrozenPages: nFrozen, Elapsed: time.Since(start)}, nil
+	res := finishResult(cur, deltas, converged, start)
+	res.FrozenPages = nFrozen
+	return res, nil
+}
+
+// pushActive adds mass·A[u][v] into acc[v] for each out-edge u→v whose
+// target is not frozen (a frozen target's acc slot is never read
+// again). A uniform row divides mass by its out-degree once per source,
+// as a walk over the graph's rows does; a weighted row multiplies by
+// each edge's probability.
+//
+//arlint:hot
+func pushActive(c *kernel.PushCSR, acc []float64, frozen []bool, u int, mass float64) {
+	lo, hi := c.OutOff[u], c.OutOff[u+1]
+	row := c.OutDst[lo:hi]
+	if c.OutProb == nil {
+		if len(row) == 0 {
+			return
+		}
+		share := mass / float64(len(row))
+		for _, v := range row {
+			if !frozen[v] {
+				acc[v] += share
+			}
+		}
+		return
+	}
+	prob := c.OutProb[lo:hi]
+	for k, v := range row {
+		if !frozen[v] {
+			acc[v] += mass * prob[k]
+		}
+	}
 }

@@ -18,34 +18,20 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/numeric"
 )
 
-// DirectedGraph is the view of a graph the engine needs. *graph.Graph
-// satisfies it. The Λ-extended chains in internal/core are not
-// DirectedGraphs: they store their collapsed matrix as a kernel.PushCSR
-// and run the same kernel sweeps and convergence loop on it.
-type DirectedGraph interface {
-	NumNodes() int
-	OutNeighbors(u uint32) []uint32
-	OutWeights(u uint32) []float64 // nil for unweighted graphs
-	WeightOut(u uint32) float64
-	Dangling(u uint32) bool
-}
-
-// InEdgeGraph is the optional in-adjacency view. The iteration engines
-// no longer require it — the kernel snapshot materializes the
-// in-adjacency from the out-edges — but the interface remains for
-// callers that pull along in-edges themselves. *graph.Graph satisfies
+// DirectedGraph is the view of a graph the engine needs: the kernel's
+// snapshot source, under the name this package has always used.
+// *graph.Graph satisfies it. The Λ-extended chains in internal/core are
+// not DirectedGraphs: they store their collapsed matrix as a
+// kernel.PushCSR and run the same kernel sweeps and convergence loop on
 // it.
-type InEdgeGraph interface {
-	DirectedGraph
-	InNeighbors(u uint32) []uint32
-	InWeights(u uint32) []float64 // nil for unweighted graphs
-}
+type DirectedGraph = kernel.Source
 
 // Method selects the iteration scheme.
 type Method int
@@ -89,14 +75,14 @@ type Options struct {
 	// Method selects the iteration scheme (default MethodPower).
 	Method Method
 	// Parallelism selects the number of workers for the power iteration:
-	// 0 or 1 runs sequentially, k > 1 uses k workers, and a negative
-	// value selects the CPU count. The parallel scheme is a pull sweep
-	// over edge-balanced target ranges: the per-iteration iterate is
-	// bit-identical across worker counts and runs are bit-deterministic
-	// for a fixed Parallelism; only the convergence test's delta sum
-	// reassociates across values (≪ any practical tolerance). Only
-	// MethodPower without extrapolation or adaptive freezing
-	// parallelizes.
+	// 0 or 1 runs sequentially, k > 1 uses up to k workers (at most
+	// GOMAXPROCS), and a negative value selects the CPU count. The
+	// parallel scheme is a pull sweep over edge-balanced target ranges:
+	// the per-iteration iterate is bit-identical across worker counts
+	// and runs are bit-deterministic for a fixed Parallelism; only the
+	// convergence test's delta sum reassociates across values (≪ any
+	// practical tolerance). Only MethodPower without extrapolation or
+	// adaptive freezing parallelizes.
 	Parallelism int
 	// AdaptiveFreeze, when positive, enables adaptive PageRank (Kamvar et
 	// al., "Adaptive methods for the computation of PageRank", 2003):
@@ -229,10 +215,7 @@ func ComputeCtx(ctx context.Context, g DirectedGraph, opts Options) (*Result, er
 	if opts.AdaptiveFreeze > 0 {
 		return computeAdaptive(ctx, g, opts)
 	}
-	if opts.Parallelism > 1 {
-		return computeParallel(ctx, g, opts)
-	}
-	return computeFlat(ctx, g, opts)
+	return computePower(ctx, g, opts)
 }
 
 // jumpVectors materializes the personalization and dangling
@@ -288,21 +271,37 @@ func finishResult(cur, deltas []float64, converged bool, start time.Time) *Resul
 		Deltas: deltas, Elapsed: time.Since(start)}
 }
 
-// computeFlat is the sequential power iteration on the flat PUSH
-// kernel: the graph is snapshot once into frozen out-CSR slices
-// (aliased straight from *graph.Graph storage when unweighted), and
-// every iteration is pure slice arithmetic — zero interface calls and
-// zero divisions on the per-edge path. The sequential path pushes
-// rather than pulls because its random accesses then ride the store
-// buffer instead of stalling the accumulation chain (see
-// kernel.PushCSR); the parallel path in parallel.go pulls, which is
-// what makes disjoint output ranges possible. Scratch buffers come
-// from the kernel pools and are recycled on every exit path.
-func computeFlat(ctx context.Context, g DirectedGraph, opts Options) (*Result, error) {
+// computePower is the power iteration on the flat kernel: the graph is
+// snapshot once into frozen CSR slices (aliased straight from
+// *graph.Graph storage when unweighted), and every iteration is pure
+// slice arithmetic — zero interface calls and zero divisions on the
+// per-edge path. Scratch buffers come from the kernel pools and are
+// recycled on every exit path.
+//
+// A run whose Parallelism kernel.PoolParts leaves above one part PULLS
+// through a kernel.SweepPool spawned once for the whole run, each
+// worker owning a disjoint, edge-count-balanced range of target nodes:
+// no shared accumulators, and an iterate bit-identical across worker
+// counts. Only the L1 delta (summed per range, then in range order)
+// reassociates, which can move the convergence test by at most the
+// float error of one sum; for a fixed part count the run is
+// bit-deterministic. Every other run PUSHES along a kernel.PushCSR,
+// which is faster on one worker: its random accesses ride the store
+// buffer instead of stalling the accumulation chain.
+func computePower(ctx context.Context, g DirectedGraph, opts Options) (*Result, error) {
 	n := g.NumNodes()
 	start := time.Now()
-	csr := kernel.PushSnapshot(g)
-	defer csr.Release()
+	var push *kernel.PushCSR
+	var pool *kernel.SweepPool
+	if kernel.PoolParts(opts.Parallelism) > 1 {
+		pull := kernel.Snapshot(g)
+		defer pull.Release()
+		pool = kernel.NewSweepPool(pull, opts.Parallelism)
+		defer pool.Close()
+	} else {
+		push = kernel.PushSnapshot(g)
+		defer push.Release()
+	}
 	p, d, pooled := jumpVectors(n, &opts)
 	defer kernel.PutVec(pooled)
 
@@ -327,7 +326,12 @@ func computeFlat(ctx context.Context, g DirectedGraph, opts Options) (*Result, e
 	eps := opts.Epsilon
 	iter := 0
 	deltas, converged, err := iterate(ctx, &opts, func() float64 {
-		delta := csr.Sweep(next, cur, p, d, eps, csr.DanglingMass(cur))
+		var delta float64
+		if pool != nil {
+			delta = pool.Sweep(ctx, next, cur, p, d, eps)
+		} else {
+			delta = push.Sweep(next, cur, p, d, eps)
+		}
 		if iter++; opts.ExtrapolateEvery > 0 {
 			if iter > 2 && iter%opts.ExtrapolateEvery == 0 {
 				extrapolate(next, prev1, prev2)
@@ -343,6 +347,10 @@ func computeFlat(ctx context.Context, g DirectedGraph, opts Options) (*Result, e
 	}
 	return finishResult(cur, deltas, converged, start), nil
 }
+
+// DefaultParallelism returns the worker count used by Parallelism < 0:
+// the machine's CPU count.
+func DefaultParallelism() int { return runtime.NumCPU() }
 
 // extrapolate applies componentwise Aitken Δ² extrapolation in place:
 // x* = xₖ − (Δxₖ)²/(Δ²xₖ) with xₖ₋₁ = prev1 and xₖ₋₂ = prev2, then

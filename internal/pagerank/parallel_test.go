@@ -43,12 +43,12 @@ func slowRing(n int) *graph.Graph {
 	return g
 }
 
-// TestParallelAllocsFlat: computeParallel spawns its worker pool once
+// TestParallelAllocsFlat: a parallel run spawns its worker pool once
 // per run, so a run's allocations do not grow with its iteration
 // count. Respawning the workers every round would allocate every
 // round. The mallocs are read from runtime.MemStats at GOMAXPROCS 2:
-// testing.AllocsPerRun pins GOMAXPROCS to 1, where computeParallel
-// falls back to computeFlat and no pool exists.
+// testing.AllocsPerRun pins GOMAXPROCS to 1, where a parallel run
+// takes the push sweep and no pool exists.
 func TestParallelAllocsFlat(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := slowRing(4000)

@@ -19,11 +19,11 @@ import (
 // ~8 MB of JSON; anything bigger is not a rank query.
 const maxBodyBytes = 16 << 20
 
-// maxRequestIterations caps a request's max_iterations. The power
-// iteration pre-sizes its delta history to the cap, so an unbounded
-// value would let one request allocate gigabytes before its first
-// sweep; 100,000 bounds that history at 800 KB, far past any
-// convergence the tolerances reach.
+// maxRequestIterations caps a request's max_iterations. Nothing is
+// sized from the cap up front (kernel.Iterate grows its delta history
+// from 64 entries as steps run); what it bounds is the Deltas a cached
+// result keeps, 8 bytes per iteration: at most 800 KB per entry, far
+// past any convergence the tolerances reach.
 const maxRequestIterations = 100_000
 
 // retryAfterSeconds is the Retry-After hint on 429/503 responses. The
