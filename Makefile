@@ -54,7 +54,9 @@ race:
 # v2 load, zero-copy mmap open, text-loader allocs, and the
 # save→mmap→rank end-to-end path, and serve's request hot path: rank
 # body decoding, id canonicalization and a whole result hit written
-# from its stored tail) parsed to a machine-readable
+# from its stored tail, once decoded from a body in a new order
+# (BenchmarkRankHit/full) and once matched on a repeated body's raw
+# bytes (BenchmarkRankHit/raw)) parsed to a machine-readable
 # artifact. BENCHTIME trades precision for speed; the graph corpus runs
 # at ~1M edges here — set GRAPH_BENCH_CRAWL=1 for the 10M/50M scales.
 # Every benchmark runs three times and benchjson records the

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
+	"hash/maphash"
 	"math/bits"
 
 	"repro/internal/core"
@@ -22,6 +24,11 @@ import (
 // its node list (see hitTail). A configuration's tail is stored on its
 // first result hit and deleted whenever its result is replaced; the map
 // stays nil on entries that are never hit.
+//
+// raw is the one request body the raw tier answers with this entry: an
+// exact-size copy of a /v1/rank body that a tail hit under rawKey
+// answered, indexed in lruCache.byRaw under rawHash. It is nil while no
+// body is registered, and it never outlives the tail it selects.
 type entry struct {
 	hash    uint64
 	ids     []graph.NodeID // canonical: sorted ascending, distinct
@@ -29,35 +36,91 @@ type entry struct {
 	results map[string]*core.Result
 	engines map[string]*search.Engine
 	tails   map[string][]byte
+
+	raw     []byte
+	rawKey  string
+	rawHash uint64
 }
 
 // lruCache is an LRU of entries keyed by the FNV-1a hash of the canonical
 // (sorted-distinct) node-ID list. Hash collisions are resolved exactly:
 // each bucket holds the (almost always single) entries sharing a hash and
 // lookups compare the full ID lists, so a collision degrades to a second
-// compare, never to a wrong answer. Not safe for concurrent use — the
-// Server serializes access under its mutex.
+// compare, never to a wrong answer. byRaw indexes the entries' registered
+// request bodies by hashRaw, one body per slot, under the same rule: a
+// lookup answers only a body byte for byte equal to the registered one.
+// Not safe for concurrent use — the Server serializes access under its
+// mutex.
 type lruCache struct {
 	cap    int
 	ll     *list.List // front = most recently used; values are *entry
 	byHash map[uint64][]*list.Element
+	byRaw  map[uint64]*list.Element
 }
 
 func newLRU(capacity int) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), byHash: make(map[uint64][]*list.Element)}
+	return &lruCache{
+		cap:    capacity,
+		ll:     list.New(),
+		byHash: make(map[uint64][]*list.Element),
+		byRaw:  make(map[uint64]*list.Element),
+	}
+}
+
+// lookup returns the list element of the entry for the canonical id
+// list, or nil, without promoting it.
+func (c *lruCache) lookup(hash uint64, ids []graph.NodeID) *list.Element {
+	for _, el := range c.byHash[hash] {
+		if idsEqual(el.Value.(*entry).ids, ids) {
+			return el
+		}
+	}
+	return nil
 }
 
 // get returns the entry for the canonical id list, promoting it to most
 // recently used.
 func (c *lruCache) get(hash uint64, ids []graph.NodeID) (*entry, bool) {
-	for _, el := range c.byHash[hash] {
-		e := el.Value.(*entry)
-		if idsEqual(e.ids, ids) {
-			c.ll.MoveToFront(el)
-			return e, true
-		}
+	el := c.lookup(hash, ids)
+	if el == nil {
+		return nil, false
 	}
-	return nil, false
+	c.ll.MoveToFront(el)
+	return el.Value.(*entry), true
+}
+
+// getRaw returns the entry whose registered body is raw, hashed to h by
+// hashRaw, promoting it to most recently used as get does.
+func (c *lruCache) getRaw(h uint64, raw []byte) (*entry, bool) {
+	el, ok := c.byRaw[h]
+	if !ok || !bytes.Equal(el.Value.(*entry).raw, raw) {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*entry), true
+}
+
+// setRaw registers a copy of raw, hashed to h, as the body the entry at
+// el answers under the configuration key. It replaces the entry's
+// previous body and drops the body of any other entry in h's slot.
+func (c *lruCache) setRaw(el *list.Element, h uint64, raw []byte, key string) {
+	e := el.Value.(*entry)
+	c.dropRaw(e)
+	if prev, ok := c.byRaw[h]; ok {
+		c.dropRaw(prev.Value.(*entry))
+	}
+	e.raw = make([]byte, len(raw))
+	copy(e.raw, raw)
+	e.rawKey, e.rawHash = key, h
+	c.byRaw[h] = el
+}
+
+// dropRaw unregisters the entry's body, if it has one.
+func (c *lruCache) dropRaw(e *entry) {
+	if e.raw != nil {
+		delete(c.byRaw, e.rawHash)
+		e.raw, e.rawKey = nil, ""
+	}
 }
 
 // add inserts a new entry as most recently used and returns how many
@@ -77,6 +140,7 @@ func (c *lruCache) add(e *entry) int {
 func (c *lruCache) removeElement(el *list.Element) {
 	e := el.Value.(*entry)
 	c.ll.Remove(el)
+	c.dropRaw(e)
 	bucket := c.byHash[e.hash]
 	for i, b := range bucket {
 		if b == el {
@@ -167,6 +231,15 @@ const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
+
+// rawSeed keys hashRaw for the life of the process; raw registrations
+// are never persisted, so no hash outlives it.
+var rawSeed = maphash.MakeSeed()
+
+// hashRaw is the raw tier's hash of a request body.
+func hashRaw(raw []byte) uint64 {
+	return maphash.Bytes(rawSeed, raw)
+}
 
 // hashIDs is the canonical subgraph identity hash: FNV-1a over the
 // length and the sorted-distinct node ids. It runs on every request, so

@@ -5,29 +5,51 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"sync"
 )
 
-// readRankRequest reads a /v1/rank body once, under maxBodyBytes, and
-// decodes it. The buffer doubles as bytes arrive (as a json.Decoder's
+// bodyBufs recycles the buffers request bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer releaseBody pools: one that grew
+// past it (a batch body) is dropped, so it stays pinned by no pool.
+const maxPooledBody = 1 << 20
+
+// readBody reads a request body once, under maxBodyBytes, into a pooled
+// buffer; the caller hands it back with releaseBody once it is done with
+// the bytes. The buffer doubles as bytes arrive (as a json.Decoder's
 // does; io.ReadAll's gentler growth allocates ~1.3× more on an 18 KiB
 // body) and is never pre-sized from Content-Length, so a client that
 // claims 16 MiB and then stalls pins nothing. Unlike decodeJSON, a body
 // past the bound is a 400 even when a complete value precedes the excess.
-//
-// scanRankRequest takes the common shape; whatever it declines goes to
-// encoding/json on the same bytes, so every error a client can see is
-// encoding/json's. The fallback is a Decoder, not Unmarshal: /v1/rank
-// ignores data after the first value, and Unmarshal would reject it.
-func readRankRequest(w http.ResponseWriter, r *http.Request) (rankRequest, error) {
-	var body bytes.Buffer
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	body := bodyBufs.Get().(*bytes.Buffer)
+	body.Reset()
 	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		return rankRequest{}, badRequest(err)
+		releaseBody(body)
+		return nil, badRequest(err)
 	}
-	if req, ok := scanRankRequest(body.Bytes()); ok {
+	return body, nil
+}
+
+// releaseBody returns a buffer from readBody to the pool.
+func releaseBody(body *bytes.Buffer) {
+	if body.Cap() <= maxPooledBody {
+		bodyBufs.Put(body)
+	}
+}
+
+// decodeRankRequest decodes a /v1/rank body. scanRankRequest takes the
+// common shape; whatever it declines goes to encoding/json on the same
+// bytes, so every error a client can see is encoding/json's. The
+// fallback is a Decoder, not Unmarshal: /v1/rank ignores data after the
+// first value, and Unmarshal would reject it.
+func decodeRankRequest(body []byte) (rankRequest, error) {
+	if req, ok := scanRankRequest(body); ok {
 		return req, nil
 	}
 	var req rankRequest
-	if err := json.NewDecoder(&body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		return req, badRequest(err)
 	}
 	return req, nil

@@ -155,15 +155,15 @@ func FuzzRankRequest(f *testing.F) {
 // benchCrawl returns a fixed-seed 20k-page web and a deterministic
 // 2.5k-page BFS crawl of it, in crawl order: the shape of a hot-repeat
 // or crawl-cold request.
-func benchCrawl(b *testing.B) (*gen.Dataset, []uint32) {
-	b.Helper()
+func benchCrawl(tb testing.TB) (*gen.Dataset, []uint32) {
+	tb.Helper()
 	ds, err := gen.Generate(gen.Config{Pages: 20000, Domains: 4, Topics: 4, Seed: 7})
 	if err != nil {
-		b.Fatalf("Generate: %v", err)
+		tb.Fatalf("Generate: %v", err)
 	}
 	pages, err := crawler.BFS(ds.Graph, 0, 2500)
 	if err != nil || len(pages) != 2500 {
-		b.Fatalf("BFS: %d pages, %v", len(pages), err)
+		tb.Fatalf("BFS: %d pages, %v", len(pages), err)
 	}
 	return ds, pages
 }

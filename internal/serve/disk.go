@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"math"
 	"os"
@@ -17,18 +19,23 @@ import (
 
 // diskFormat is the layout version of the cache file; any change to the
 // gob'd structures below bumps it, and a mismatch discards the file
-// (scores are a cache — recomputing beats misreading).
-const diskFormat uint32 = 1
+// (scores are a cache — recomputing beats misreading). Format 2 added
+// Sum.
+const diskFormat uint32 = 2
 
 // diskFile is the on-disk shape of the score cache. GraphSig binds the
 // cached scores to the exact global graph snapshot they were computed
 // from: a daemon restarted over a regenerated or updated graph discards
 // the file wholesale rather than serving stale ranks (the snapshot
-// version ↔ disk cache invalidation rule in DESIGN.md).
+// version ↔ disk cache invalidation rule in DESIGN.md). Sum is
+// diskSum(Entries): a file whose entries no longer match it — a flipped
+// bit that leaves every score finite and non-negative included — is a
+// load error.
 type diskFile struct {
 	Format   uint32
 	GraphSig uint64
 	Entries  []diskEntry
+	Sum      uint32
 }
 
 // diskEntry is one cached subgraph: its canonical ids and the converged
@@ -110,6 +117,7 @@ func (s *Server) SaveDiskCache() error {
 	for i := range df.Entries {
 		sortDiskResults(df.Entries[i].Results)
 	}
+	df.Sum = diskSum(df.Entries)
 
 	tmp, err := os.CreateTemp(filepath.Dir(s.diskPath), ".rankd-cache-*")
 	if err != nil {
@@ -136,7 +144,9 @@ func (s *Server) SaveDiskCache() error {
 // LoadDiskCache warms the result cache from the configured path,
 // returning how many subgraph entries it recovered. A missing file is a
 // cold start (0, nil); a file written by a different format version or —
-// crucially — a different graph snapshot is discarded as stale (0, nil).
+// crucially — a different graph snapshot is discarded as stale (0, nil);
+// a file that does not decode or whose checksum does not match is an
+// error that loads nothing.
 // Loaded entries carry scores only: the first query for a cached
 // subgraph is answered without any power iteration, and chains/engines
 // rebuild lazily if ever needed.
@@ -158,6 +168,9 @@ func (s *Server) LoadDiskCache() (int, error) {
 	}
 	if df.Format != diskFormat || df.GraphSig != s.sig {
 		return 0, nil
+	}
+	if sum := diskSum(df.Entries); sum != df.Sum {
+		return 0, fmt.Errorf("serve: disk cache: checksum %08x, file says %08x", sum, df.Sum)
 	}
 	numNodes := s.gctx.Graph().NumNodes()
 	loaded, rejected := 0, 0
@@ -228,6 +241,41 @@ func servableDiskEntry(de diskEntry, numNodes int) bool {
 		}
 	}
 	return true
+}
+
+// castagnoli is the CRC-32C table diskSum uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// diskSum is the CRC-32C of what entries hold, in order: each entry's
+// ids, and each result's configuration key, score bits, Λ bits,
+// iterations and converged flag, every list and key led by its length.
+func diskSum(entries []diskEntry) uint32 {
+	var sum uint32
+	var b []byte
+	for _, de := range entries {
+		b = binary.LittleEndian.AppendUint32(b[:0], uint32(len(de.IDs)))
+		for _, id := range de.IDs {
+			b = binary.LittleEndian.AppendUint32(b, id)
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(de.Results)))
+		for _, dr := range de.Results {
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(dr.CfgKey)))
+			b = append(b, dr.CfgKey...)
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(dr.Scores)))
+			for _, x := range dr.Scores {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(dr.Lambda))
+			b = binary.LittleEndian.AppendUint64(b, uint64(dr.Iterations))
+			converged := byte(0)
+			if dr.Converged {
+				converged = 1
+			}
+			b = append(b, converged)
+		}
+		sum = crc32.Update(sum, castagnoli, b)
+	}
+	return sum
 }
 
 // sortDiskResults orders results by configuration key (insertion sort —

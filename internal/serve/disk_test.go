@@ -20,7 +20,7 @@ func writeCacheFile(t *testing.T, s *Server, entries ...diskEntry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(f).Encode(&diskFile{Format: diskFormat, GraphSig: s.sig, Entries: entries}); err != nil {
+	if err := gob.NewEncoder(f).Encode(&diskFile{Format: diskFormat, GraphSig: s.sig, Entries: entries, Sum: diskSum(entries)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -126,4 +126,73 @@ func TestDiskLoadTruncated(t *testing.T) {
 		t.Fatalf("stats %+v, want nothing loaded", st)
 	}
 	rankCold(t, s2, nodes)
+}
+
+// TestDiskLoadChecksum: a saved file whose one score had its lowest
+// mantissa bit flipped — still finite and non-negative, so every shape
+// and range check passes — fails its checksum: LoadDiskCache loads
+// nothing and reports an error, and the subgraph is computed on request.
+// The unflipped file loads, and a file of the previous format (which
+// had no checksum) is discarded as stale.
+func TestDiskLoadChecksum(t *testing.T) {
+	ds, _ := testWeb(t, 400, 52)
+	path := filepath.Join(t.TempDir(), "cache.gob")
+	nodes := pagesOf(ds, 1, 40)
+	newServer := func() *Server {
+		s, err := NewServer(Options{Context: core.NewContext(ds.Graph), DiskCache: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s1 := newServer()
+	rankCold(t, s1, nodes)
+	if err := s1.SaveDiskCache(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := newServer().LoadDiskCache(); n != 1 || err != nil {
+		t.Fatalf("LoadDiskCache of the saved file: %d entries, %v; want 1", n, err)
+	}
+
+	var df diskFile
+	rewrite := func(edit func()) {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = gob.NewDecoder(f).Decode(&df)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit()
+		f, err = os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(f).Encode(&df); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewrite(func() {
+		scores := df.Entries[0].Results[0].Scores
+		scores[7] = math.Float64frombits(math.Float64bits(scores[7]) ^ 1)
+	})
+	s2 := newServer()
+	if n, err := s2.LoadDiskCache(); n != 0 || err == nil {
+		t.Fatalf("LoadDiskCache of a flipped score: %d entries, %v; want 0 and an error", n, err)
+	}
+	if st := s2.Stats(); st.DiskEntriesLoaded != 0 || st.CacheEntries != 0 {
+		t.Fatalf("stats %+v, want nothing loaded", st)
+	}
+	rankCold(t, s2, nodes)
+
+	rewrite(func() { df.Format = 1 })
+	if n, err := newServer().LoadDiskCache(); n != 0 || err != nil {
+		t.Fatalf("LoadDiskCache of a format-1 file: %d entries, %v; want it discarded", n, err)
+	}
 }

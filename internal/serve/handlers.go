@@ -169,9 +169,23 @@ func (s *Server) requestConfig(eps, tol float64, maxIter int, timeoutMS int64) (
 	return cfg, nil
 }
 
-// handleRank serves POST /v1/rank: single subgraph or batch.
+// handleRank serves POST /v1/rank: single subgraph or batch. A body
+// that the raw tier holds is answered before it is decoded (rankRaw);
+// every other body takes the full path, and a tail hit there registers
+// its body for the raw tier (keepHit).
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	req, err := readRankRequest(w, r)
+	body, err := readBody(w, r)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	defer releaseBody(body)
+	raw := body.Bytes()
+	rawHash := hashRaw(raw)
+	if s.rankRaw(w, rawHash, raw) {
+		return
+	}
+	req, err := decodeRankRequest(raw)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -215,16 +229,37 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		s.stats.TailHits++
 		s.mu.Unlock()
-	} else {
-		if tail, err = hitTail(res); err != nil {
-			// encoding/json refuses the result (a non-finite score):
-			// answer exactly what writeJSON answers for it.
-			writeJSON(w, http.StatusOK, rankResultOf(ids, res, true))
-			return
-		}
-		s.storeTail(ids, key, res, tail)
+	} else if tail, err = hitTail(res); err != nil {
+		// encoding/json refuses the result (a non-finite score):
+		// answer exactly what writeJSON answers for it.
+		writeJSON(w, http.StatusOK, rankResultOf(ids, res, true))
+		return
 	}
 	writeHit(w, ids, tail)
+	s.keepHit(ids, key, res, tail, rawHash, raw)
+}
+
+// rankRaw answers a /v1/rank body that is byte for byte the body the raw
+// tier holds under rawHash, and reports whether it did. The answer is
+// the registered entry's stored tail behind its ids — what a full-path
+// tail hit writes — and it counts and promotes the entry as one does,
+// plus raw_hits; the body is never decoded, canonicalized or hashed by
+// id.
+func (s *Server) rankRaw(w http.ResponseWriter, rawHash uint64, raw []byte) bool {
+	s.mu.Lock()
+	e, ok := s.cache.getRaw(rawHash, raw)
+	if !ok {
+		s.mu.Unlock()
+		return false
+	}
+	tail := e.tails[e.rawKey]
+	s.stats.RankRequests++
+	s.stats.ResultHits++
+	s.stats.TailHits++
+	s.stats.RawHits++
+	s.mu.Unlock()
+	writeHit(w, e.ids, tail)
+	return true
 }
 
 // handleRankBatch serves the batch form of /v1/rank. The response is

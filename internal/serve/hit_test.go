@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -53,10 +55,13 @@ func cachedResult(s *Server, ids []graph.NodeID, key string) *core.Result {
 }
 
 // TestRankHitBytes: a miss keeps writeJSON's body, and every result hit
-// — the first, which encodes and stores the tail, and the later ones
-// written from it — has the status, headers and body writeJSON gives
-// rankResultOf(ids, res, true). Only later hits count as tail hits, and
-// eviction drops the tail with its entry.
+// has the status, headers and body writeJSON gives rankResultOf(ids,
+// res, true): the first, which encodes and stores the tail; the same
+// body repeated, which the raw tier answers; a permuted body, which
+// takes the full path and is registered in the first body's place; and
+// a whitespace-padded body longer than its tail, which is answered but
+// not registered. Only hits after the first count as tail hits, and
+// eviction drops the tail and the registered body with their entry.
 func TestRankHitBytes(t *testing.T) {
 	ds, terms := testWeb(t, 400, 40)
 	s, err := NewServer(Options{Context: core.NewContext(ds.Graph), Terms: terms, CacheEntries: 1})
@@ -87,17 +92,39 @@ func TestRankHitBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, wantTailHits := range []int64{0, 1, 2} {
-		got := serveRank(s, body)
+	perm := slices.Clone(nodes)
+	rand.New(rand.NewSource(40)).Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	permuted := nodesBody(perm)
+	if permuted == body {
+		t.Fatal("the shuffle left the body as it was")
+	}
+	padded := "\n" + body + strings.Repeat(" ", len(tail))
+	for i, hit := range []struct {
+		body                          string
+		resultHits, tailHits, rawHits int64
+		storedRaw                     int
+	}{
+		{body, 1, 0, 0, len(body)}, // the first hit: stores the tail, registers the body
+		{body, 2, 1, 1, len(body)},
+		{body, 3, 2, 2, len(body)},
+		{permuted, 4, 3, 2, len(permuted)}, // full path; registered in body's place
+		{permuted, 5, 4, 3, len(permuted)},
+		{body, 6, 5, 3, len(body)},
+		{padded, 7, 6, 3, len(body)}, // longer than its tail: never registered
+		{padded, 8, 7, 3, len(body)},
+	} {
+		got := serveRank(s, hit.body)
 		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
 			t.Fatalf("hit %d: %d %q, want 200 %q", i, got.Code, got.Body, want.Body)
 		}
-		if !slices.Equal(got.Result().Header["Content-Type"], want.Result().Header["Content-Type"]) {
+		if !maps.EqualFunc(got.Result().Header, want.Result().Header, slices.Equal) {
 			t.Fatalf("hit %d: header %v, want %v", i, got.Result().Header, want.Result().Header)
 		}
 		st := s.Stats()
-		if st.ResultHits != int64(i+1) || st.TailHits != wantTailHits || st.StoredTailBytes != int64(len(tail)) {
-			t.Fatalf("hit %d: stats %+v, want %d tail hits and %d stored tail bytes", i, st, wantTailHits, len(tail))
+		if st.ResultHits != hit.resultHits || st.TailHits != hit.tailHits || st.RawHits != hit.rawHits ||
+			st.StoredTailBytes != int64(len(tail)) || st.StoredRawBytes != int64(hit.storedRaw) {
+			t.Fatalf("hit %d: stats %+v, want %d result, %d tail and %d raw hits, %d stored tail and %d stored raw bytes",
+				i, st, hit.resultHits, hit.tailHits, hit.rawHits, len(tail), hit.storedRaw)
 		}
 	}
 
@@ -108,21 +135,25 @@ func TestRankHitBytes(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(search)))
-	if st := s.Stats(); rec.Code != http.StatusOK || st.ResultHits != 4 || st.TailHits != 2 {
+	if st := s.Stats(); rec.Code != http.StatusOK || st.ResultHits != 9 || st.TailHits != 7 || st.RawHits != 3 {
 		t.Fatalf("search: %d %s, stats %+v; want a result hit and no tail hit", rec.Code, rec.Body, st)
 	}
 
 	if code, body := postRaw(s, nodesBody(pagesOf(ds, 3, 20))); code != http.StatusOK {
 		t.Fatalf("evicting rank: %d %s", code, body)
 	}
-	if st := s.Stats(); st.Evictions != 1 || st.StoredTailBytes != 0 {
-		t.Fatalf("after eviction: stats %+v, want 1 eviction and no stored tail", st)
+	if st := s.Stats(); st.Evictions != 1 || st.StoredTailBytes != 0 || st.StoredRawBytes != 0 || len(s.cache.byRaw) != 0 {
+		t.Fatalf("after eviction: stats %+v, %d raw slots; want 1 eviction and nothing stored", st, len(s.cache.byRaw))
+	}
+	if got := serveRank(s, body); got.Code != http.StatusOK || strings.Contains(got.Body.String(), `"cached":true`) {
+		t.Fatalf("evicted body: %d %s, want a computed answer", got.Code, got.Body)
 	}
 }
 
-// TestRankHitTailCoherence: replacing a result drops its tail, so the
-// next hit answers the new result; and a first hit whose result was
-// replaced after it read it stores no tail.
+// TestRankHitTailCoherence: replacing a result drops its tail and the
+// body registered on it, so the next hit, even of the registered body,
+// answers the new result; and a first hit whose result was replaced
+// after it read it stores no tail and registers no body.
 func TestRankHitTailCoherence(t *testing.T) {
 	ds, _ := testWeb(t, 400, 41)
 	s, err := NewServer(Options{Context: core.NewContext(ds.Graph)})
@@ -142,8 +173,8 @@ func TestRankHitTailCoherence(t *testing.T) {
 		}
 	}
 	old := cachedResult(s, ids, key)
-	if st := s.Stats(); st.StoredTailBytes == 0 {
-		t.Fatalf("first hit stored no tail: %+v", st)
+	if st := s.Stats(); st.StoredTailBytes == 0 || st.StoredRawBytes != int64(len(body)) {
+		t.Fatalf("first hit stored no tail or registered no body: %+v", st)
 	}
 
 	// A replacement whose hit body differs from the original's.
@@ -155,11 +186,16 @@ func TestRankHitTailCoherence(t *testing.T) {
 		repl.Scores[i] = x / 2
 	}
 	s.storeResult(ids, hashIDs(ids), key, nil, repl)
-	if st := s.Stats(); st.StoredTailBytes != 0 {
-		t.Fatalf("replaced result kept its tail: %+v", st)
+	if st := s.Stats(); st.StoredTailBytes != 0 || st.StoredRawBytes != 0 || len(s.cache.byRaw) != 0 {
+		t.Fatalf("replaced result kept its tail or registered body: %+v", st)
 	}
-	if _, got := postRaw(s, body); got != writeJSONBody(rankResultOf(ids, repl, true)) {
-		t.Fatalf("hit after replacement: %q", got)
+	for i, wantRaw := range []int64{0, 1} { // the full path registers the body again
+		if _, got := postRaw(s, body); got != writeJSONBody(rankResultOf(ids, repl, true)) {
+			t.Fatalf("hit %d after replacement: %q", i, got)
+		}
+		if st := s.Stats(); st.RawHits != wantRaw {
+			t.Fatalf("hit %d after replacement: stats %+v, want %d raw hits", i, st, wantRaw)
+		}
 	}
 
 	s.storeResult(ids, hashIDs(ids), key, nil, old)
@@ -167,8 +203,8 @@ func TestRankHitTailCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.storeTail(ids, key, repl, staleTail)
-	if st := s.Stats(); st.StoredTailBytes != 0 {
+	s.keepHit(ids, key, repl, staleTail, hashRaw([]byte(body)), []byte(body))
+	if st := s.Stats(); st.StoredTailBytes != 0 || st.StoredRawBytes != 0 {
 		t.Fatalf("tail of a replaced result stored: %+v", st)
 	}
 	if _, got := postRaw(s, body); got != writeJSONBody(rankResultOf(ids, old, true)) {
@@ -176,9 +212,11 @@ func TestRankHitTailCoherence(t *testing.T) {
 	}
 }
 
-// TestRankHitConcurrent: hits racing each other to store the tail, and a
-// batch that keeps replacing the result, leave every hit answering
-// exactly what writeJSON answers for one of the results the entry held.
+// TestRankHitConcurrent: hits racing each other to store the tail and to
+// register their bodies, raw hits answered from those registrations,
+// and a batch that keeps replacing the result (taking tail and
+// registration with it) leave every hit answering exactly what
+// writeJSON answers for one of the results the entry held.
 func TestRankHitConcurrent(t *testing.T) {
 	ds, _ := testWeb(t, 400, 42)
 	s, err := NewServer(Options{Context: core.NewContext(ds.Graph)})
@@ -191,12 +229,16 @@ func TestRankHitConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := defaultKey(t, s)
-	body := nodesBody(nodes)
+	rev := slices.Clone(nodes)
+	slices.Reverse(rev)
+	// Half the hitters repeat one body and half another, so raw hits
+	// race registrations replacing each other as well as the batches.
+	hitBodies := []string{nodesBody(nodes), nodesBody(rev)}
 	batch, err := json.Marshal(rankRequest{Subgraphs: [][]uint32{nodes}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code, got := postRaw(s, body); code != http.StatusOK {
+	if code, got := postRaw(s, hitBodies[0]); code != http.StatusOK {
 		t.Fatalf("miss: %d %s", code, got)
 	}
 	// Each batch's result is read before the next batch runs, so held
@@ -210,7 +252,7 @@ func TestRankHitConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < hitsEach; i++ {
-				code, got := postRaw(s, body)
+				code, got := postRaw(s, hitBodies[g%2])
 				if code != http.StatusOK {
 					t.Errorf("hit: %d %s", code, got)
 					return
@@ -242,22 +284,42 @@ func TestRankHitConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.StoredTailBytes != 0 && st.StoredTailBytes != int64(len(tail)) {
-		t.Fatalf("stats %+v: stored tail bytes match neither no tail nor the current result's %d", st, len(tail))
+	if st := s.Stats(); st.StoredTailBytes != 0 && st.StoredTailBytes != int64(len(tail)) ||
+		st.StoredRawBytes != 0 && st.StoredRawBytes != int64(len(hitBodies[0])) {
+		t.Fatalf("stats %+v: stored bytes match neither nothing nor the current result's %d-byte tail and a %d-byte body",
+			st, len(tail), len(hitBodies[0]))
+	}
+
+	// Once the race is over, a body's second repeat is a raw hit of the
+	// result the entry holds now.
+	want := writeJSONBody(rankResultOf(ids, cachedResult(s, ids, key), true))
+	for i := 0; i < 2; i++ {
+		before := s.Stats().RawHits
+		if code, got := postRaw(s, hitBodies[0]); code != http.StatusOK || got != want {
+			t.Fatalf("hit %d after the race: %d %q, want 200 %q", i, code, got, want)
+		}
+		if raw := s.Stats().RawHits - before; i == 1 && raw != 1 {
+			t.Fatalf("repeat after the race: %d raw hits, want 1", raw)
+		}
 	}
 }
 
-// FuzzRankHit: for any id list over a small web, the first result hit
-// (which stores the tail), the second (written from it) and a hit after
-// a batch has replaced the result each answer exactly what writeJSON
-// answers for the result cached at that moment.
+// FuzzRankHit: for any id list over a small web, every result hit
+// answers exactly what writeJSON answers for the result cached at that
+// moment: the first hit (which stores the tail), the same body repeated,
+// the list reversed, a whitespace-padded body longer than its tail, and
+// the last registered body after a batch has replaced the result and
+// once more. A model of the raw tier runs beside it: a full-path hit
+// registers its body when it is no longer than the tail (a list of many
+// repeated ids is not), a hit is raw exactly when its body is the one
+// registered, and the batch takes the registration with the tail.
 func FuzzRankHit(f *testing.F) {
 	ds, err := gen.Generate(gen.Config{Pages: 300, Domains: 4, Topics: 4, Seed: 42})
 	if err != nil {
 		f.Fatal(err)
 	}
 	gctx := core.NewContext(ds.Graph)
-	for _, seed := range [][]byte{{1, 2, 3}, {9, 4}, {20, 20, 21}, {7}, {255, 0, 128, 3, 3}} {
+	for _, seed := range [][]byte{{1, 2, 3}, {9, 4}, {20, 20, 21}, {7}, {255, 0, 128, 3, 3}, bytes.Repeat([]byte{5}, 40)} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -283,18 +345,45 @@ func FuzzRankHit(f *testing.F) {
 		if code, got := postRaw(s, body); code != http.StatusOK {
 			t.Fatalf("miss: %d %s", code, got)
 		}
-		hit := func(what string, wantTailHits int64) {
-			t.Helper()
-			code, got := postRaw(s, body)
-			if want := writeJSONBody(rankResultOf(ids, cachedResult(s, ids, key), true)); code != http.StatusOK || got != want {
-				t.Fatalf("%s: %d %q, want 200 %q", what, code, got, want)
+		var tailHits, rawHits int64
+		registered := ""
+		tailOf := func() []byte {
+			tail, err := hitTail(cachedResult(s, ids, key))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if st := s.Stats(); st.TailHits != wantTailHits || st.StoredTailBytes == 0 {
-				t.Fatalf("%s: stats %+v, want %d tail hits and a stored tail", what, st, wantTailHits)
+			return tail
+		}
+		hit := func(what, body string, first bool) {
+			t.Helper()
+			got := serveRank(s, body)
+			want := httptest.NewRecorder()
+			writeJSON(want, http.StatusOK, rankResultOf(ids, cachedResult(s, ids, key), true))
+			if got.Code != http.StatusOK || got.Body.String() != want.Body.String() ||
+				!maps.EqualFunc(got.Result().Header, want.Result().Header, slices.Equal) {
+				t.Fatalf("%s: %d %v %q, want 200 %v %q", what, got.Code, got.Result().Header, got.Body, want.Result().Header, want.Body)
+			}
+			tail := tailOf()
+			if !first {
+				tailHits++
+			}
+			if body == registered {
+				rawHits++
+			} else if len(body) <= len(tail) {
+				registered = body
+			}
+			if st := s.Stats(); st.TailHits != tailHits || st.RawHits != rawHits ||
+				st.StoredTailBytes != int64(len(tail)) || st.StoredRawBytes != int64(len(registered)) {
+				t.Fatalf("%s: stats %+v, want %d tail hits, %d raw hits, a %d-byte tail and %d registered bytes",
+					what, st, tailHits, rawHits, len(tail), len(registered))
 			}
 		}
-		hit("first hit", 0)
-		hit("second hit", 1)
+		hit("first hit", body, true)
+		hit("repeated body", body, false)
+		rev := slices.Clone(nodes)
+		slices.Reverse(rev)
+		hit("reversed body", nodesBody(rev), false)
+		hit("padded body", body+strings.Repeat(" ", len(tailOf())), false)
 		batch, err := json.Marshal(rankRequest{Subgraphs: [][]uint32{nodes}})
 		if err != nil {
 			t.Fatal(err)
@@ -302,10 +391,16 @@ func FuzzRankHit(f *testing.F) {
 		if code, got := postRaw(s, string(batch)); code != http.StatusOK {
 			t.Fatalf("batch: %d %s", code, got)
 		}
-		if st := s.Stats(); st.BatchChainsRun != 1 || st.StoredTailBytes != 0 {
-			t.Fatalf("after batch: stats %+v, want 1 batch chain and no stored tail", st)
+		if st := s.Stats(); st.BatchChainsRun != 1 || st.StoredTailBytes != 0 || st.StoredRawBytes != 0 {
+			t.Fatalf("after batch: stats %+v, want 1 batch chain and nothing stored", st)
 		}
-		hit("hit after batch", 1)
+		last := registered
+		if last == "" {
+			last = body
+		}
+		registered = ""
+		hit("registered body after batch", last, true)
+		hit("registered body, repeated", last, false)
 	})
 }
 
@@ -318,33 +413,58 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardWriter) WriteHeader(int)             {}
 
 // BenchmarkRankHit sends a 2,000-id result hit through Server.Handler(),
-// answered from the entry's stored tail: decode, canonicalize, look up,
-// format the ids and write.
+// answered from the entry's stored tail. /full sends the ids in a new
+// order each iteration — a body other than the one the entry registered
+// last, so every request is decoded, canonicalized and looked up by id
+// before its ids are formatted and written. /raw repeats one body, which
+// the raw tier matches on its bytes.
 func BenchmarkRankHit(b *testing.B) {
 	ds, crawl := benchCrawl(b)
 	s, err := NewServer(Options{Context: core.NewContext(ds.Graph)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := []byte(nodesBody(crawl[:2000]))
+	nodes := crawl[:2000]
 	for i := 0; i < 2; i++ { // the miss, then the hit that stores the tail
-		if code, got := postRaw(s, string(body)); code != http.StatusOK {
+		if code, got := postRaw(s, nodesBody(nodes)); code != http.StatusOK {
 			b.Fatalf("rank %d: %d %s", i, code, got)
 		}
 	}
-	h := s.Handler()
-	w := &discardWriter{h: http.Header{}}
-	rd := bytes.NewReader(body)
-	req := httptest.NewRequest(http.MethodPost, "/v1/rank", rd)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(body)
-		req.Body = io.NopCloser(rd)
-		h.ServeHTTP(w, req)
+	// Sixteen orders of the ids; consecutive requests never repeat one.
+	perms := make([][]byte, 16)
+	rng := rand.New(rand.NewSource(16))
+	for i := range perms {
+		perm := slices.Clone(nodes)
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		perms[i] = []byte(nodesBody(perm))
 	}
-	b.StopTimer()
-	if st := s.Stats(); st.TailHits != int64(b.N) {
-		b.Fatalf("%d tail hits in %d requests", st.TailHits, b.N)
+	run := func(b *testing.B, body func(i int) []byte, wantRaw bool) {
+		h := s.Handler()
+		w := &discardWriter{h: http.Header{}}
+		rd := bytes.NewReader(nil)
+		req := httptest.NewRequest(http.MethodPost, "/v1/rank", rd)
+		st0 := s.Stats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(body(i))
+			req.Body = io.NopCloser(rd)
+			h.ServeHTTP(w, req)
+		}
+		b.StopTimer()
+		st := s.Stats()
+		tail, raw := st.TailHits-st0.TailHits, st.RawHits-st0.RawHits
+		if tail != int64(b.N) || (raw == tail) != wantRaw || (raw == 0) == wantRaw {
+			b.Fatalf("%d tail hits, %d of them raw, in %d requests", tail, raw, b.N)
+		}
 	}
+	sent := 0 // counts across /full's runs, so no run starts on the body the last one ended on
+	b.Run("full", func(b *testing.B) {
+		run(b, func(int) []byte { sent++; return perms[sent%len(perms)] }, false)
+	})
+	b.Run("raw", func(b *testing.B) {
+		body := perms[0]
+		postRaw(s, string(body)) // registers it
+		run(b, func(int) []byte { return body }, true)
+	})
 }

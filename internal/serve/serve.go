@@ -12,7 +12,10 @@
 //     exactly), so repeat queries skip NewApproxChainCtx entirely,
 //     repeat queries under the same configuration skip the power
 //     iteration too, and from a result's second hit on its scores are
-//     written from the text its first hit encoded;
+//     written from the text its first hit encoded; a /v1/rank body byte
+//     for byte equal to one a hit already answered is matched on its
+//     raw bytes (maphash, verified exactly) and answered from that text
+//     before it is decoded, sorted or hashed by id;
 //  2. single-flight coalescing, so N concurrent requests for the same
 //     uncached subgraph trigger one computation and share the result;
 //  3. bounded admission — a semaphore-gated compute tier with a bounded
@@ -209,7 +212,7 @@ func cfgKey(cfg core.Config) string {
 // in-flight coalescing → admission-gated computation. It returns the
 // converged result and whether the answer came straight from cache; a
 // result hit also returns the entry's stored tail for key, nil until
-// the entry's first hit stores one (storeTail).
+// the entry's first hit stores one (keepHit).
 func (s *Server) rankScores(reqCtx context.Context, ids []graph.NodeID, key string, cfg core.Config) (*core.Result, bool, []byte, error) {
 	h := hashIDs(ids)
 	s.mu.Lock()
@@ -342,7 +345,8 @@ func (s *Server) compute(ids []graph.NodeID, h uint64, key string, cfg core.Conf
 
 // storeResult caches a converged result (and the frozen chain behind it)
 // under the canonical identity, creating or refreshing the LRU entry. A
-// replaced result takes its stored tail with it.
+// replaced result takes its stored tail, and the raw body registered on
+// that tail, with it.
 func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, chain *core.ExtendedChain, res *core.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -361,23 +365,39 @@ func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, chain *co
 	}
 	e.results[key] = res
 	delete(e.tails, key)
+	if e.rawKey == key {
+		s.cache.dropRaw(e)
+	}
 }
 
-// storeTail keeps tail, the encoded hit response of res after its node
-// list, on the entry for ids under key — but only while res is still
-// the result cached there: a result replaced since it was read must not
-// get the old result's tail.
-func (s *Server) storeTail(ids []graph.NodeID, key string, res *core.Result, tail []byte) {
+// keepHit keeps what a /v1/rank tail hit of res under key leaves for the
+// next hit on the entry for ids: tail, the encoded hit response of res
+// after its node list, if the entry holds none for key yet; and raw, the
+// request's body (hashed to rawHash), registered for the raw tier if it
+// is no longer than tail, so a registered body never costs more than the
+// answer it selects. Both only while res is still the result cached
+// there: a result replaced since it was read must not get the old
+// result's tail, and a body is registered only where a tail answers it.
+func (s *Server) keepHit(ids []graph.NodeID, key string, res *core.Result, tail []byte, rawHash uint64, raw []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.cache.get(hashIDs(ids), ids)
-	if !ok || e.results[key] != res {
+	el := s.cache.lookup(hashIDs(ids), ids)
+	if el == nil {
 		return
 	}
-	if e.tails == nil {
-		e.tails = make(map[string][]byte, 1)
+	e := el.Value.(*entry)
+	if e.results[key] != res {
+		return
 	}
-	e.tails[key] = tail
+	if e.tails[key] == nil {
+		if e.tails == nil {
+			e.tails = make(map[string][]byte, 1)
+		}
+		e.tails[key] = tail
+	}
+	if len(raw) <= len(tail) {
+		s.cache.setRaw(el, rawHash, raw, key)
+	}
 }
 
 // searchEngine returns (building and caching if needed) the search

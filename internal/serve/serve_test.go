@@ -648,7 +648,7 @@ func TestStatsEndpointShape(t *testing.T) {
 		"result_hits", "chain_hits", "misses",
 		"computations", "coalesced_waits",
 		"in_flight", "admission_rejected", "deadline_failures",
-		"tail_hits", "stored_tail_bytes",
+		"tail_hits", "stored_tail_bytes", "raw_hits", "stored_raw_bytes",
 		"cache_entries", "evictions", "disk_entries_loaded", "disk_entries_rejected", "engines_built",
 		"batch_chains_run", "batch_chains_failed",
 	} {

@@ -28,6 +28,14 @@ type Stats struct {
 	TailHits        int64 `json:"tail_hits"`
 	StoredTailBytes int64 `json:"stored_tail_bytes"`
 
+	// RawHits counts the tail hits the raw tier answered: bodies byte
+	// for byte equal to one an entry registered, written without being
+	// decoded. StoredRawBytes is the size of the registered bodies the
+	// cache holds now; each is at most its tail, so it is at most
+	// StoredTailBytes.
+	RawHits        int64 `json:"raw_hits"`
+	StoredRawBytes int64 `json:"stored_raw_bytes"`
+
 	// Computations counts power iterations actually run by the serving
 	// tier (batch items excluded — see BatchChainsRun). CoalescedWaits
 	// counts requests that piggybacked on an identical in-flight
@@ -69,9 +77,11 @@ func (s *Server) statsSnapshotLocked() Stats {
 	st := s.stats
 	st.CacheEntries = int64(s.cache.len())
 	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
-		for _, tail := range el.Value.(*entry).tails {
+		e := el.Value.(*entry)
+		for _, tail := range e.tails {
 			st.StoredTailBytes += int64(len(tail))
 		}
+		st.StoredRawBytes += int64(len(e.raw))
 	}
 	return st
 }
