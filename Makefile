@@ -38,8 +38,9 @@ test:
 serve-test:
 	$(GO) test -race -count=1 ./internal/serve/
 
-# Race-detector pass over the concurrent packages: the RankMany
-# fail-fast worker pool, the parallel power iteration, the distributed
+# Race-detector pass over the concurrent packages: the par.Each
+# fail-fast fan-out under RankMany and serve's batches, the parallel
+# power iteration, the distributed
 # partition runtime, the experiment drivers that fan work out across
 # goroutines, the serving daemon (single-flight coalescing and the
 # admission gate are exactly the interleavings -race exists to catch),
@@ -71,7 +72,9 @@ bench:
 #   make bench-diff BASELINE=path/to/old.json [THRESHOLD=30]
 # Exits non-zero when ns/op or allocs/op regressed past the threshold.
 # The default threshold is generous because `make bench` runs at a short
-# BENCHTIME — allocs/op is exact, but ns/op carries sampling noise.
+# BENCHTIME — ns/op carries sampling noise, and allocs/op is not exact
+# either: with the GC on it toggles by one between runs of unchanged
+# code, because sync.Pool drops the kernel's pooled buffers at each GC.
 THRESHOLD ?= 30
 bench-diff: bench
 	$(GO) run ./cmd/benchjson -diff -threshold $(THRESHOLD) $(BASELINE) BENCH_core.json

@@ -15,10 +15,11 @@
 // generates an N-page web in-process instead, with term bags assigned
 // so /v1/search works out of the box. Capacity knobs:
 //
-//	-cache-entries N   LRU capacity in subgraphs; each entry pins its frozen
-//	                   chain and its scores, nothing sized by the global
-//	                   graph (~0.16 MiB for a 100–5,000-page crawl of a
-//	                   1.9M-page web, so the default 1024 is ~0.16 GB)
+//	-cache-entries N   LRU capacity in subgraphs; each entry pins its ids
+//	                   and scores (no chain), nothing sized by the global
+//	                   graph (~0.04 MiB for a 100–5,000-page crawl of a
+//	                   1.9M-page web, so the default 1024 is ~0.04 GB
+//	                   plus the Context's 15.2 MB in-mass vector)
 //	-max-inflight N    concurrent computations admitted
 //	-max-queue N       requests allowed to wait for admission (429 beyond)
 //	-request-timeout D default per-request budget (503 when exceeded)

@@ -450,9 +450,6 @@ func (s *Summary) bits() string {
 			out = append(out, fmt.Sprintf("map-order(res%d)", i))
 		}
 	}
-	if s.SpawnsGoroutine {
-		out = append(out, "spawn")
-	}
 	for i, d := range s.DonesParams {
 		if d {
 			out = append(out, fmt.Sprintf("done(p%d)", i))

@@ -19,16 +19,14 @@ import (
 //	TaintedResults  result i is assembled in map-iteration order and
 //	                not sorted before return — callers inherit the
 //	                nondeterminism
-//	SpawnsGoroutine the function (or a callee) starts a goroutine
 //	SendsParams /   channel-typed parameter i is sent to, closed, or
 //	ClosesParams /  received from (drained) — how chanleak sees through
 //	DrainsParams    worker helpers
 //	DonesParams     *sync.WaitGroup parameter i gets Done() on every
 //	                path to return — how wgbalance sees through spawned
 //	                helpers
-//	CtxParam /      position of a context.Context parameter and whether
-//	ForwardsCtx     the function forwards it to every context-aware
-//	                callee — consumed by ctxflow
+//	CtxParam        position of a context.Context parameter (shown in
+//	                the -callgraph=dot labels)
 //
 // The lattice is a product of booleans ordered false < true ("no known
 // effect" < "has the effect") for may-facts, and true > false for the
@@ -59,9 +57,6 @@ type Summary struct {
 	// map-iteration order with no sort before return.
 	TaintedResults []bool
 
-	// SpawnsGoroutine: a go statement runs in the function or a callee.
-	SpawnsGoroutine bool
-
 	// Per-parameter channel and WaitGroup effects, indexed by the
 	// function's parameter positions (variadic included, receiver not).
 	SendsParams  []bool
@@ -70,11 +65,8 @@ type Summary struct {
 	DonesParams  []bool
 
 	// CtxParam is the index of the first context.Context parameter, -1
-	// when the function does not accept one. ForwardsCtx reports that
-	// every context-accepting call in the body receives the function's
-	// own context (or one derived from it).
-	CtxParam    int
-	ForwardsCtx bool
+	// when the function does not accept one.
+	CtxParam int
 
 	// Variadic records whether the summarized function's last parameter
 	// is variadic — consulted by ParamIndex when mapping call arguments
@@ -206,10 +198,8 @@ func joinSummaries(s *Summaries, cands []*CGNode) *Summary {
 		orBools(out.DrainsParams, cs.DrainsParams)
 		orBools(out.WritesParams, cs.WritesParams)
 		andBools(out.DonesParams, cs.DonesParams)
-		out.SpawnsGoroutine = out.SpawnsGoroutine || cs.SpawnsGoroutine
 		out.WritesRecv = out.WritesRecv || cs.WritesRecv
 		out.WritesEscaped = out.WritesEscaped || cs.WritesEscaped
-		out.ForwardsCtx = out.ForwardsCtx && cs.ForwardsCtx
 		if cs.Purity > out.Purity {
 			out.Purity = cs.Purity
 			out.PurityCause = cs.PurityCause
@@ -285,36 +275,13 @@ func summarizeNode(sums *Summaries, n *CGNode) bool {
 	oldDrains := append([]bool(nil), s.DrainsParams...)
 	oldWrites := append([]bool(nil), s.WritesParams...)
 
-	info := n.Pkg.Info
-	body := n.Decl.Body
-
 	summarizeErrorDrop(n, s)
 	summarizeAlloc(sums, n, s)
 	summarizeTaint(sums, n, s)
 	summarizeConcurrency(sums, n, s)
 	summarizePurity(sums, n, s)
 
-	// Context forwarding: every context-accepting call receives the
-	// function's own (or a derived) context.
-	if s.CtxParam >= 0 {
-		s.ForwardsCtx = true
-		ctxObjs := contextDerived(info, body, paramObj(n, s.CtxParam))
-		ast.Inspect(body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if idx := contextArgIndex(info, call); idx >= 0 && idx < len(call.Args) {
-				if !usesAnyObject(info, call.Args[idx], ctxObjs) {
-					s.ForwardsCtx = false
-				}
-			}
-			return true
-		})
-	}
-
 	if old.DropsError != s.DropsError || old.Allocates != s.Allocates ||
-		old.SpawnsGoroutine != s.SpawnsGoroutine || old.ForwardsCtx != s.ForwardsCtx ||
 		old.Purity != s.Purity || old.WritesRecv != s.WritesRecv ||
 		old.WritesEscaped != s.WritesEscaped {
 		return true
@@ -334,15 +301,6 @@ func boolsEqual(a, b []bool) bool {
 		}
 	}
 	return true
-}
-
-// paramObj returns the types object of parameter i of n.
-func paramObj(n *CGNode, i int) types.Object {
-	sig := n.Func.Type().(*types.Signature)
-	if i < 0 || i >= sig.Params().Len() {
-		return nil
-	}
-	return sig.Params().At(i)
 }
 
 // summarizeErrorDrop detects the check-and-discard pattern: an error
@@ -546,9 +504,9 @@ func summarizeTaint(sums *Summaries, n *CGNode, s *Summary) {
 	}
 }
 
-// summarizeConcurrency records goroutine spawns and per-parameter
-// channel / WaitGroup effects, looking through static calls that
-// forward a parameter to a callee with a known effect.
+// summarizeConcurrency records per-parameter channel / WaitGroup
+// effects, looking through static calls that forward a parameter to a
+// callee with a known effect.
 func summarizeConcurrency(sums *Summaries, n *CGNode, s *Summary) {
 	info := n.Pkg.Info
 
@@ -581,8 +539,6 @@ func summarizeConcurrency(sums *Summaries, n *CGNode, s *Summary) {
 
 	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
 		switch m := m.(type) {
-		case *ast.GoStmt:
-			s.SpawnsGoroutine = true
 		case *ast.SendStmt:
 			mark(s.SendsParams, m.Chan)
 		case *ast.UnaryExpr:
@@ -608,9 +564,6 @@ func summarizeConcurrency(sums *Summaries, n *CGNode, s *Summary) {
 			cs := sums.CalleeSummaryDevirt(info, m)
 			if cs == nil {
 				return true
-			}
-			if cs.SpawnsGoroutine {
-				s.SpawnsGoroutine = true
 			}
 			for ai, arg := range m.Args {
 				pi := cs.ParamIndex(ai)

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // RankMany runs ApproxRank over many subgraphs of one global graph,
@@ -63,83 +63,42 @@ func RankManyCtx(ctx context.Context, gctx *Context, subs []*graph.Subgraph, cfg
 // the testable core of RankManyCtx: on error the slice shows exactly
 // which chains completed before the batch was cancelled (entries for
 // never-dispatched subgraphs stay nil), which the fail-fast regression
-// test asserts on.
+// test asserts on. The fan-out is par.Each's: the first failing chain
+// cancels the others and stops dispatch.
 func rankManyInto(ctx context.Context, gctx *Context, subs []*graph.Subgraph, cfg Config, parallelism int, results []*Result) error {
 	if parallelism <= 0 {
-		parallelism = len(subs)
-		if limit := runtime.GOMAXPROCS(0); parallelism > limit {
-			parallelism = limit
-		}
+		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > len(subs) {
-		parallelism = len(subs)
+	i, err := par.Each(ctx, len(subs), parallelism, rankInto(gctx, subs, cfg, results))
+	if i >= 0 {
+		return fmt.Errorf("core: subgraph %d: %w", i, err)
 	}
-
-	// batchCtx cancels every in-flight chain as soon as one fails (or the
-	// caller's ctx is done) — the documented fail-fast contract.
-	batchCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		firstIdx int
-	)
-	// fail records the batch's first failure and cancels everything else.
-	// Workers can only observe a context error after some failure already
-	// called cancel (or the caller's ctx fired), so the first recorded
-	// error is the root cause, never a secondary cancellation.
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr, firstIdx = err, i
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				// Per-subgraph validation (nil entries, wrong global graph)
-				// surfaces here so a bad entry mid-batch aborts the rest
-				// instead of being scanned for upfront at O(len(subs)).
-				chain, err := NewApproxChainCtx(gctx, subs[i])
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				res, err := chain.RunCtx(batchCtx, cfg)
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				results[i] = res
-			}
-		}()
-	}
-dispatch:
-	for i := range subs {
-		select {
-		case work <- i:
-		case <-batchCtx.Done():
-			break dispatch
-		}
-	}
-	close(work)
-	wg.Wait()
-
-	if firstErr != nil {
-		return fmt.Errorf("core: subgraph %d: %w", firstIdx, firstErr)
-	}
-	// The caller's ctx fired between dispatches, before any worker
-	// tripped on it.
-	if err := ctx.Err(); err != nil {
+	if err != nil {
+		// The caller's ctx fired between dispatches, before any chain
+		// tripped on it.
 		return fmt.Errorf("core: rank many: %w", err)
 	}
 	return nil
+}
+
+// rankInto is a batch's par.Each step: it builds subgraph i's chain and
+// runs it into results[i] under the step's context, the one par.Each
+// cancels on the batch's first failure. Outside rankManyInto, the step
+// cannot capture the caller's ctx in its place.
+func rankInto(gctx *Context, subs []*graph.Subgraph, cfg Config, results []*Result) func(context.Context, int) error {
+	return func(ctx context.Context, i int) error {
+		// Per-subgraph validation (nil entries, wrong global graph)
+		// surfaces here so a bad entry mid-batch aborts the rest
+		// instead of being scanned for upfront at O(len(subs)).
+		chain, err := NewApproxChainCtx(gctx, subs[i])
+		if err != nil {
+			return err
+		}
+		res, err := chain.RunCtx(ctx, cfg)
+		if err != nil {
+			return err
+		}
+		results[i] = res
+		return nil
+	}
 }

@@ -66,6 +66,9 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1 +Inf\n")
 	f.Add("")
 	f.Add("a b c\n")
+	f.Add("3333333330 0\n")
+	f.Add("1999999999 0\n")
+	f.Add("# nodes: 2147483648\n0 1\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		back, err := ReadEdgeList(strings.NewReader(data))
 		if err != nil {

@@ -14,7 +14,10 @@ import (
 // '#' starts a comment, blank lines are skipped. Node count is the largest
 // id seen plus one unless a "# nodes: N" header raises it. N is capped at
 // 2³¹, the cap v2 enforces, so every text graph that loads can be
-// written as v2.
+// written as v2: a header above it and an edge id at or above it are
+// errors. N must also be backed by the input: a graph costs at least 8
+// bytes of offsets per node, so N above max(2²⁰, the bytes read) is an
+// error too, and a few bytes of text can never ask for gigabytes.
 
 // WriteEdgeList writes g in the text edge-list format. Lines are
 // formatted with strconv appends into one reused buffer — no per-edge
@@ -52,9 +55,10 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	b := NewBuilder(0)
-	line := 0
+	line, read := 0, 0
 	for sc.Scan() {
 		line++
+		read += len(sc.Bytes()) + 1
 		text := trimSpaceBytes(sc.Bytes())
 		if len(text) == 0 {
 			continue
@@ -82,6 +86,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad target id: %v", line, err)
 		}
+		if max(u, v) >= 1<<31 {
+			return nil, fmt.Errorf("graph: line %d: node id %d past the 2³¹ node cap", line, max(u, v))
+		}
 		if nf == 3 {
 			w, err := strconv.ParseFloat(string(f2), 64)
 			if err != nil {
@@ -97,6 +104,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if n := b.NumNodes(); n > max(1<<20, read) {
+		return nil, fmt.Errorf("graph: %d nodes from %d bytes of edge list: above max(2²⁰, bytes read)", n, read)
 	}
 	return b.Build()
 }

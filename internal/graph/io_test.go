@@ -91,6 +91,11 @@ func TestEdgeListParsing(t *testing.T) {
 	if g.NumEdges() != 3 {
 		t.Fatalf("NumEdges = %d, want 3", g.NumEdges())
 	}
+	// A header alone may declare up to 2²⁰ nodes (one more is an error in
+	// TestEdgeListErrors); past that, N needs as many bytes of input.
+	if g, err := ReadEdgeList(strings.NewReader("# nodes: 1048576\n")); err != nil || g.NumNodes() != 1<<20 {
+		t.Fatalf("header-only 2²⁰-node file: %v", err)
+	}
 }
 
 func TestEdgeListErrors(t *testing.T) {
@@ -111,6 +116,13 @@ func TestEdgeListErrors(t *testing.T) {
 		"# nodes: 4294967297\n0 1\n",
 		"# nodes: 8589934593\n0 1\n",
 		"# nodes: 2147483649\n0 1\n",
+		// Node counts the input cannot back: an id past the cap (Build
+		// would allocate 26.7 GB), one below it (~16 GB of offsets) and
+		// a header at the cap over a tiny body.
+		"3333333330 0\n",
+		"1999999999 0\n",
+		"# nodes: 2147483648\n0 1\n",
+		"# nodes: 1048577\n",
 	}
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {

@@ -1,11 +1,16 @@
-// Package par holds the two pieces every partitioned pass over a CSR in
-// this repository runs on: Split, an edge-balanced cut of [0, n) into
-// contiguous ranges, and Team, a resident round-barrier worker team.
-// kernel's SweepPool and graph's parallel in-CSR build both use them;
-// the package sits below both because kernel's tests import graph.
+// Package par holds the concurrency pieces this repository shares:
+// Split, an edge-balanced cut of [0, n) into contiguous ranges, and
+// Team, a resident round-barrier worker team, which every partitioned
+// pass over a CSR runs on (kernel's SweepPool and graph's parallel
+// in-CSR build; the package sits below both because kernel's tests
+// import graph); and Each, the bounded fail-fast fan-out under core's
+// RankManyCtx and serve's batch requests.
 package par
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
 // Split cuts [0, n), n = len(off)−1, into parts contiguous ranges of
 // roughly equal cost, costing each index its row length plus one (the
@@ -102,4 +107,58 @@ func (t *Team) Stop() {
 	close(t.jobs)
 	t.jobs = nil
 	t.wg.Wait()
+}
+
+// Each calls fn(ctx, i) for every i in [0, n) on at most workers
+// goroutines (clamped to [1, n]), handing the indices out in order.
+// The first call to return an error cancels the ctx every call runs
+// under and stops the hand-out, so later indices may never be called;
+// Each waits for every call it started and returns that call's index
+// and error. Without a failing call it returns -1 and ctx.Err(): a ctx
+// that ended before or between hand-outs leaves indices uncalled as
+// well (a ctx done on entry, all of them).
+func Each(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) (int, error) {
+	each, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		mu       sync.Mutex
+		firstIdx = -1
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	work := make(chan int)
+	for w := 0; w < min(max(workers, 1), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				if err := fn(each, i); err != nil {
+					// Calls see a cancelled ctx only after some call failed
+					// (or the caller's ctx ended), so the first recorded
+					// error is the root cause, never a later cancellation.
+					mu.Lock()
+					if firstErr == nil {
+						firstIdx, firstErr = i, err
+					}
+					mu.Unlock()
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+dispatch:
+	for i := 0; i < n && each.Err() == nil; i++ {
+		select {
+		case work <- i:
+		case <-each.Done():
+			break dispatch
+		}
+	}
+	close(work)
+	wg.Wait()
+	if firstErr != nil {
+		return firstIdx, firstErr
+	}
+	return -1, ctx.Err()
 }

@@ -11,19 +11,19 @@ import (
 	"repro/internal/search"
 )
 
-// entry is one cached subgraph: its canonical identity, the frozen
-// ready-to-iterate chain (so repeat queries skip NewApproxChainCtx
-// entirely), and the converged results and search engines per rank
-// configuration. An entry holds nothing sized by the global graph: the
-// Subgraph index a chain is built from lives only on the miss path.
-// Entries loaded from the disk cache or stored by a batch start with a
-// nil chain — the scores alone answer repeat queries; the chain is
-// rebuilt only if a NEW configuration asks for an iteration.
+// entry is one cached subgraph: its canonical identity and the
+// converged results and search engines per rank configuration. An entry
+// holds nothing sized by the global graph and no chain: the Subgraph
+// index and the chain a result is computed from live only while it is
+// computed, so a new configuration for a cached subgraph builds its
+// chain again (a chain is a function of the Context and the ids, so its
+// scores are the same).
 //
 // tails holds, per configuration key, the encoded rank response after
 // its node list (see hitTail). A configuration's tail is stored on its
-// first result hit and deleted whenever its result is replaced; the map
-// stays nil on entries that are never hit.
+// first result hit; a cached result is never replaced (storeResult), so
+// a tail lives as long as its entry. The map stays nil on entries that
+// are never hit.
 //
 // raw is the one request body the raw tier answers with this entry: an
 // exact-size copy of a /v1/rank body that a tail hit under rawKey
@@ -32,7 +32,6 @@ import (
 type entry struct {
 	hash    uint64
 	ids     []graph.NodeID // canonical: sorted ascending, distinct
-	chain   *core.ExtendedChain
 	results map[string]*core.Result
 	engines map[string]*search.Engine
 	tails   map[string][]byte

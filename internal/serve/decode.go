@@ -17,11 +17,12 @@ const maxPooledBody = 1 << 20
 
 // readBody reads a request body once, under maxBodyBytes, into a pooled
 // buffer; the caller hands it back with releaseBody once it is done with
-// the bytes. The buffer doubles as bytes arrive (as a json.Decoder's
-// does; io.ReadAll's gentler growth allocates ~1.3× more on an 18 KiB
-// body) and is never pre-sized from Content-Length, so a client that
-// claims 16 MiB and then stalls pins nothing. Unlike decodeJSON, a body
-// past the bound is a 400 even when a complete value precedes the excess.
+// the bytes. Both POST endpoints read their bodies through it. The
+// buffer doubles as bytes arrive (as a json.Decoder's does; io.ReadAll's
+// gentler growth allocates ~1.3× more on an 18 KiB body) and is never
+// pre-sized from Content-Length, so a client that claims 16 MiB and then
+// stalls pins nothing. A body past the bound is a 400 even when a
+// complete value precedes the excess.
 func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	body := bodyBufs.Get().(*bytes.Buffer)
 	body.Reset()

@@ -36,9 +36,12 @@ func TestRankRequestParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
-	// Warm the cache so every single-subgraph 200 below is a result hit.
-	if code, body := postRaw(s, `{"nodes":[1,2]}`); code != http.StatusOK {
-		t.Fatalf("warm-up: %d %s", code, body)
+	// Warm the cache so every 200 below, the batch item's included, is a
+	// result hit.
+	for _, warm := range []string{`{"nodes":[1,2]}`, `{"nodes":[1]}`} {
+		if code, body := postRaw(s, warm); code != http.StatusOK {
+			t.Fatalf("warm-up: %d %s", code, body)
+		}
 	}
 	const tooLarge = `{"error":"bad request: http: request body too large"}` + "\n"
 	cases := []struct {
@@ -76,6 +79,30 @@ func TestRankRequestParity(t *testing.T) {
 		if code != tc.status || body != want {
 			t.Errorf("%s: got %d %q, want %d %q", tc.name, code, body, tc.status, want)
 		}
+	}
+}
+
+// TestSearchBodyTooLarge: /v1/search reads its body as /v1/rank does, so
+// a body past the limit is a 400 even when a complete query precedes
+// the excess; the query alone is answered.
+func TestSearchBodyTooLarge(t *testing.T) {
+	ds, terms := testWeb(t, 400, 32)
+	s, err := NewServer(Options{Context: core.NewContext(ds.Graph), Terms: terms})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	search := func(body string) (int, string) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	query := `{"nodes":[1,2,3],"terms":[0]}`
+	if code, got := search(query); code != http.StatusOK {
+		t.Fatalf("query: %d %s", code, got)
+	}
+	want := `{"error":"bad request: http: request body too large"}` + "\n"
+	if code, got := search(query + strings.Repeat(" ", maxBodyBytes)); code != http.StatusBadRequest || got != want {
+		t.Errorf("padded past the limit: %d %q, want 400 %q", code, got, want)
 	}
 }
 

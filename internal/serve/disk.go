@@ -148,8 +148,8 @@ func (s *Server) SaveDiskCache() error {
 // a file that does not decode or whose checksum does not match is an
 // error that loads nothing.
 // Loaded entries carry scores only: the first query for a cached
-// subgraph is answered without any power iteration, and chains/engines
-// rebuild lazily if ever needed.
+// subgraph is answered without any power iteration, engines build
+// lazily, and a new configuration computes from scratch.
 func (s *Server) LoadDiskCache() (int, error) {
 	if s.diskPath == "" {
 		return 0, nil

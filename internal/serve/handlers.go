@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // maxBodyBytes bounds request bodies: a million-node subgraph id list is
@@ -111,16 +112,6 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodeJSON reads one JSON body into dst with a size bound.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(dst); err != nil {
-		return badRequest(err)
-	}
-	return nil
-}
-
 // requestConfig merges the server's rank defaults with a request's
 // overrides and budget. Validation happens here so configuration
 // mistakes answer 400 rather than surfacing as opaque compute failures.
@@ -201,7 +192,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if len(req.Subgraphs) > 0 {
-		s.handleRankBatch(w, req.Subgraphs, cfg)
+		s.handleRankBatch(w, r, req.Subgraphs, cfg)
 		return
 	}
 
@@ -262,10 +253,18 @@ func (s *Server) rankRaw(w http.ResponseWriter, rawHash uint64, raw []byte) bool
 	return true
 }
 
-// handleRankBatch serves the batch form of /v1/rank. The response is
-// always 200 with per-item results/errors (unless admission rejects the
-// whole batch): partial success is the point.
-func (s *Server) handleRankBatch(w http.ResponseWriter, items [][]uint32, cfg core.Config) {
+// handleRankBatch serves the batch form of /v1/rank as a fail-fast
+// fan-out over rankScores, the path a single query takes: an item is a
+// result hit, joins an in-flight computation or starts its own, which
+// holds an admission token of its own. Items that fail validation are
+// answered per-item; so is an item whose computation refuses its
+// subgraph (the whole graph). Any other error cancels the rest, and the
+// items left unanswered carry it beside the survivors' results — the
+// response is 200 with per-item results and errors, partial success
+// being the point, unless no item got a result and the error is an
+// overload or deadline: then the whole batch is refused as a single
+// query would be.
+func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request, items [][]uint32, cfg core.Config) {
 	if len(items) > s.maxBatch {
 		s.writeError(w, badRequest(fmt.Errorf("batch of %d subgraphs exceeds limit %d", len(items), s.maxBatch)))
 		return
@@ -273,21 +272,62 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, items [][]uint32, cfg co
 	s.mu.Lock()
 	s.stats.BatchRequests++
 	s.mu.Unlock()
-	results, idLists, errs, err := s.rankBatch(items, cfg)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
 	out := make([]batchItem, len(items))
-	for i := range items {
-		if results[i] != nil {
-			out[i] = batchItem{Result: rankResultOf(idLists[i], results[i], false)}
-		} else if errs[i] != nil {
-			out[i] = batchItem{Error: errs[i].Error()}
-		} else {
-			out[i] = batchItem{Error: "not computed"}
+	idLists := make([][]graph.NodeID, len(items))
+	valid := make([]int, 0, len(items))
+	for i, nodes := range items {
+		ids, err := canonicalIDs(nodes, s.gctx.Graph().NumNodes())
+		if err != nil {
+			out[i].Error = err.Error()
+			continue
+		}
+		idLists[i] = ids
+		valid = append(valid, i)
+	}
+
+	reqCtx, cancel := context.WithTimeout(r.Context(), cfg.Deadline)
+	defer cancel()
+	key := cfgKey(cfg)
+	// One worker per admission slot: the batch never queues more
+	// computations than can run at once.
+	at, err := par.Each(reqCtx, len(valid), cap(s.adm.sem), func(ctx context.Context, j int) error {
+		i := valid[j]
+		res, cached, _, err := s.rankScores(ctx, idLists[i], key, cfg)
+		if errors.Is(err, errBadRequest) {
+			out[i].Error = err.Error()
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		out[i].Result = rankResultOf(idLists[i], res, cached)
+		return nil
+	})
+	served := 0
+	for _, it := range out {
+		if it.Result != nil {
+			served++
 		}
 	}
+	if err != nil {
+		if served == 0 && (errors.Is(err, errOverloaded) ||
+			errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+			s.writeError(w, err)
+			return
+		}
+		if at >= 0 {
+			err = fmt.Errorf("serve: batch item %d: %w", valid[at], err)
+		}
+		for i := range out {
+			if out[i].Result == nil && out[i].Error == "" {
+				out[i].Error = err.Error()
+			}
+		}
+	}
+	s.mu.Lock()
+	s.stats.BatchChainsRun += int64(served)
+	s.stats.BatchChainsFailed += int64(len(items) - served)
+	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, struct {
 		Results []batchItem `json:"results"`
 	}{Results: out})
@@ -301,9 +341,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest(errors.New("no term corpus loaded; /v1/search is disabled")))
 		return
 	}
-	var req searchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	body, err := readBody(w, r)
+	if err != nil {
 		s.writeError(w, err)
+		return
+	}
+	defer releaseBody(body)
+	var req searchRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		s.writeError(w, badRequest(err))
 		return
 	}
 	if len(req.Terms) == 0 {

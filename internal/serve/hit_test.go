@@ -150,10 +150,11 @@ func TestRankHitBytes(t *testing.T) {
 	}
 }
 
-// TestRankHitTailCoherence: replacing a result drops its tail and the
-// body registered on it, so the next hit, even of the registered body,
-// answers the new result; and a first hit whose result was replaced
-// after it read it stores no tail and registers no body.
+// TestRankHitTailCoherence: storing a result over a cached one keeps
+// the cached result with its tail and registered body, so the body stays
+// a raw hit of it; and a first hit whose result was evicted and
+// recomputed into a new entry after it read it stores no tail and
+// registers no body there.
 func TestRankHitTailCoherence(t *testing.T) {
 	ds, _ := testWeb(t, 400, 41)
 	s, err := NewServer(Options{Context: core.NewContext(ds.Graph)})
@@ -173,11 +174,12 @@ func TestRankHitTailCoherence(t *testing.T) {
 		}
 	}
 	old := cachedResult(s, ids, key)
-	if st := s.Stats(); st.StoredTailBytes == 0 || st.StoredRawBytes != int64(len(body)) {
-		t.Fatalf("first hit stored no tail or registered no body: %+v", st)
+	st0 := s.Stats()
+	if st0.StoredTailBytes == 0 || st0.StoredRawBytes != int64(len(body)) {
+		t.Fatalf("first hit stored no tail or registered no body: %+v", st0)
 	}
 
-	// A replacement whose hit body differs from the original's.
+	// A result whose hit body differs from the original's.
 	repl := &core.Result{
 		Result: pagerank.Result{Scores: make([]float64, len(old.Scores)), Iterations: old.Iterations + 1, Converged: true},
 		Lambda: old.Lambda / 2,
@@ -185,41 +187,50 @@ func TestRankHitTailCoherence(t *testing.T) {
 	for i, x := range old.Scores {
 		repl.Scores[i] = x / 2
 	}
-	s.storeResult(ids, hashIDs(ids), key, nil, repl)
-	if st := s.Stats(); st.StoredTailBytes != 0 || st.StoredRawBytes != 0 || len(s.cache.byRaw) != 0 {
-		t.Fatalf("replaced result kept its tail or registered body: %+v", st)
+	s.mu.Lock()
+	s.storeResult(ids, hashIDs(ids), key, repl)
+	s.mu.Unlock()
+	if st := s.Stats(); cachedResult(s, ids, key) != old ||
+		st.StoredTailBytes != st0.StoredTailBytes || st.StoredRawBytes != st0.StoredRawBytes {
+		t.Fatalf("a store over the cached result replaced it or dropped its tail or body: %+v", st)
 	}
-	for i, wantRaw := range []int64{0, 1} { // the full path registers the body again
-		if _, got := postRaw(s, body); got != writeJSONBody(rankResultOf(ids, repl, true)) {
-			t.Fatalf("hit %d after replacement: %q", i, got)
-		}
-		if st := s.Stats(); st.RawHits != wantRaw {
-			t.Fatalf("hit %d after replacement: stats %+v, want %d raw hits", i, st, wantRaw)
-		}
+	if _, got := postRaw(s, body); got != writeJSONBody(rankResultOf(ids, old, true)) || s.Stats().RawHits != 1 {
+		t.Fatalf("registered body after a store over its result: %q, stats %+v; want a raw hit of the kept result", got, s.Stats())
 	}
 
-	s.storeResult(ids, hashIDs(ids), key, nil, old)
-	staleTail, err := hitTail(repl)
+	// The entry is evicted and repl computed into a new one for the same
+	// ids; a hit that read old before the eviction keeps nothing there.
+	s.mu.Lock()
+	s.cache.removeElement(s.cache.lookup(hashIDs(ids), ids))
+	s.storeResult(ids, hashIDs(ids), key, repl)
+	s.mu.Unlock()
+	staleTail, err := hitTail(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.keepHit(ids, key, repl, staleTail, hashRaw([]byte(body)), []byte(body))
+	s.keepHit(ids, key, old, staleTail, hashRaw([]byte(body)), []byte(body))
 	if st := s.Stats(); st.StoredTailBytes != 0 || st.StoredRawBytes != 0 {
-		t.Fatalf("tail of a replaced result stored: %+v", st)
+		t.Fatalf("tail of an evicted result stored: %+v", st)
 	}
-	if _, got := postRaw(s, body); got != writeJSONBody(rankResultOf(ids, old, true)) {
-		t.Fatalf("hit after a stale store: %q", got)
+	for i, wantRaw := range []int64{1, 2} { // the full path registers the body on repl's tail
+		if _, got := postRaw(s, body); got != writeJSONBody(rankResultOf(ids, repl, true)) {
+			t.Fatalf("hit %d after the recompute: %q", i, got)
+		}
+		if st := s.Stats(); st.RawHits != wantRaw {
+			t.Fatalf("hit %d after the recompute: stats %+v, want %d raw hits", i, st, wantRaw)
+		}
 	}
 }
 
 // TestRankHitConcurrent: hits racing each other to store the tail and to
 // register their bodies, raw hits answered from those registrations,
-// and a batch that keeps replacing the result (taking tail and
-// registration with it) leave every hit answering exactly what
-// writeJSON answers for one of the results the entry held.
+// batches over the same subgraph (result hits that leave tail and
+// registration in place) and evictions that make the next request
+// recompute the entry leave every answer exactly what writeJSON writes
+// for the subgraph's result, cached or not.
 func TestRankHitConcurrent(t *testing.T) {
 	ds, _ := testWeb(t, 400, 42)
-	s, err := NewServer(Options{Context: core.NewContext(ds.Graph)})
+	s, err := NewServer(Options{Context: core.NewContext(ds.Graph), CacheEntries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,69 +249,59 @@ func TestRankHitConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other := nodesBody(pagesOf(ds, 1, 20))
 	if code, got := postRaw(s, hitBodies[0]); code != http.StatusOK {
 		t.Fatalf("miss: %d %s", code, got)
 	}
-	// Each batch's result is read before the next batch runs, so held
-	// lists every result a hit can have seen.
-	held := []*core.Result{cachedResult(s, ids, key)}
-	const hitters, hitsEach, batches = 4, 40, 8
-	bodies := make([][]string, hitters)
+	// Recomputing the subgraph after an eviction gives a new result with
+	// the same bits, so every answer is one of these bodies.
+	res := cachedResult(s, ids, key)
+	valid := map[string]bool{}
+	for _, cached := range []bool{false, true} {
+		valid[writeJSONBody(rankResultOf(ids, res, cached))] = true
+		valid[writeJSONBody(struct {
+			Results []batchItem `json:"results"`
+		}{[]batchItem{{Result: rankResultOf(ids, res, cached)}}})] = true
+	}
+	const hitters, hitsEach, batches, evictions = 4, 40, 8, 8
 	var wg sync.WaitGroup
-	for g := 0; g < hitters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < hitsEach; i++ {
-				code, got := postRaw(s, hitBodies[g%2])
-				if code != http.StatusOK {
-					t.Errorf("hit: %d %s", code, got)
-					return
-				}
-				bodies[g] = append(bodies[g], got)
+	send := func(what string, n int, body func(i int) string, check bool) {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			code, got := postRaw(s, body(i))
+			if code != http.StatusOK || check && !valid[got] {
+				t.Errorf("%s %d: %d %q matches no answer for the subgraph", what, i, code, got)
+				return
 			}
-		}(g)
-	}
-	for i := 0; i < batches; i++ {
-		if code, got := postRaw(s, string(batch)); code != http.StatusOK {
-			t.Fatalf("batch: %d %s", code, got)
 		}
-		held = append(held, cachedResult(s, ids, key))
 	}
+	wg.Add(hitters + 2)
+	for g := 0; g < hitters; g++ {
+		go send("hit", hitsEach, func(int) string { return hitBodies[g%2] }, true)
+	}
+	go send("batch", batches, func(int) string { return string(batch) }, true)
+	go send("eviction", evictions, func(int) string { return other }, false)
 	wg.Wait()
 
-	valid := map[string]bool{}
-	for _, res := range held {
-		valid[writeJSONBody(rankResultOf(ids, res, true))] = true
-	}
-	for g := range bodies {
-		for i, got := range bodies[g] {
-			if !valid[got] {
-				t.Fatalf("hitter %d, hit %d: %q matches no result the entry held", g, i, got)
-			}
+	// Once the race is over, a body's second repeat is a raw hit of the
+	// result the entry holds.
+	want := writeJSONBody(rankResultOf(ids, res, true))
+	for i := 0; i < 3; i++ {
+		before := s.Stats().RawHits
+		if code, got := postRaw(s, hitBodies[0]); code != http.StatusOK || !valid[got] || i > 0 && got != want {
+			t.Fatalf("hit %d after the race: %d %q, want 200 %q", i, code, got, want)
+		}
+		if raw := s.Stats().RawHits - before; i == 2 && raw != 1 {
+			t.Fatalf("repeat after the race: %d raw hits, want 1", raw)
 		}
 	}
-	tail, err := hitTail(cachedResult(s, ids, key))
+	tail, err := hitTail(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.StoredTailBytes != 0 && st.StoredTailBytes != int64(len(tail)) ||
-		st.StoredRawBytes != 0 && st.StoredRawBytes != int64(len(hitBodies[0])) {
-		t.Fatalf("stats %+v: stored bytes match neither nothing nor the current result's %d-byte tail and a %d-byte body",
+	if st := s.Stats(); st.StoredTailBytes != int64(len(tail)) || st.StoredRawBytes != int64(len(hitBodies[0])) {
+		t.Fatalf("stats %+v: want the result's %d-byte tail and a %d-byte body stored",
 			st, len(tail), len(hitBodies[0]))
-	}
-
-	// Once the race is over, a body's second repeat is a raw hit of the
-	// result the entry holds now.
-	want := writeJSONBody(rankResultOf(ids, cachedResult(s, ids, key), true))
-	for i := 0; i < 2; i++ {
-		before := s.Stats().RawHits
-		if code, got := postRaw(s, hitBodies[0]); code != http.StatusOK || got != want {
-			t.Fatalf("hit %d after the race: %d %q, want 200 %q", i, code, got, want)
-		}
-		if raw := s.Stats().RawHits - before; i == 1 && raw != 1 {
-			t.Fatalf("repeat after the race: %d raw hits, want 1", raw)
-		}
 	}
 }
 
@@ -308,11 +309,11 @@ func TestRankHitConcurrent(t *testing.T) {
 // answers exactly what writeJSON answers for the result cached at that
 // moment: the first hit (which stores the tail), the same body repeated,
 // the list reversed, a whitespace-padded body longer than its tail, and
-// the last registered body after a batch has replaced the result and
-// once more. A model of the raw tier runs beside it: a full-path hit
-// registers its body when it is no longer than the tail (a list of many
-// repeated ids is not), a hit is raw exactly when its body is the one
-// registered, and the batch takes the registration with the tail.
+// the last registered body after a batch over the same subgraph (itself
+// a result hit that keeps tail and registration) and once more. A model
+// of the raw tier runs beside it: a full-path hit registers its body
+// when it is no longer than the tail (a list of many repeated ids is
+// not), and a hit is raw exactly when its body is the one registered.
 func FuzzRankHit(f *testing.F) {
 	ds, err := gen.Generate(gen.Config{Pages: 300, Domains: 4, Topics: 4, Seed: 42})
 	if err != nil {
@@ -388,18 +389,21 @@ func FuzzRankHit(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if code, got := postRaw(s, string(batch)); code != http.StatusOK {
-			t.Fatalf("batch: %d %s", code, got)
+		wantBatch := writeJSONBody(struct {
+			Results []batchItem `json:"results"`
+		}{[]batchItem{{Result: rankResultOf(ids, cachedResult(s, ids, key), true)}}})
+		if code, got := postRaw(s, string(batch)); code != http.StatusOK || got != wantBatch {
+			t.Fatalf("batch: %d %q, want 200 %q", code, got, wantBatch)
 		}
-		if st := s.Stats(); st.BatchChainsRun != 1 || st.StoredTailBytes != 0 || st.StoredRawBytes != 0 {
-			t.Fatalf("after batch: stats %+v, want 1 batch chain and nothing stored", st)
+		if st := s.Stats(); st.BatchChainsRun != 1 || st.Computations != 1 ||
+			st.StoredTailBytes != int64(len(tailOf())) || st.StoredRawBytes != int64(len(registered)) {
+			t.Fatalf("after batch: stats %+v, want 1 batch item, 1 computation and tail and body kept", st)
 		}
 		last := registered
 		if last == "" {
 			last = body
 		}
-		registered = ""
-		hit("registered body after batch", last, true)
+		hit("registered body after batch", last, false)
 		hit("registered body, repeated", last, false)
 	})
 }

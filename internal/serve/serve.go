@@ -5,29 +5,31 @@
 // paper's "preprocess the global graph once" argument, cached all the
 // way to the network edge.
 //
-// Four cooperating mechanisms keep the serving path cheap and bounded:
+// Four cooperating mechanisms keep the serving path cheap and bounded,
+// and every subgraph a request names — a single /v1/rank, each item of a
+// batch, a /v1/search — goes through all four on one path (rankScores):
 //
-//  1. an LRU cache of frozen, ready-to-iterate chain state keyed by
-//     canonical subgraph identity (sorted node-ID hash, verified
-//     exactly), so repeat queries skip NewApproxChainCtx entirely,
-//     repeat queries under the same configuration skip the power
-//     iteration too, and from a result's second hit on its scores are
-//     written from the text its first hit encoded; a /v1/rank body byte
-//     for byte equal to one a hit already answered is matched on its
-//     raw bytes (maphash, verified exactly) and answered from that text
-//     before it is decoded, sorted or hashed by id;
+//  1. an LRU cache of converged results keyed by canonical subgraph
+//     identity (sorted node-ID hash, verified exactly), so a repeat
+//     query under the same configuration skips the chain build and the
+//     power iteration, and from a result's second /v1/rank hit on its
+//     scores are written from the text its first hit encoded; a
+//     /v1/rank body byte for byte equal to one a hit already answered is
+//     matched on its raw bytes (maphash, verified exactly) and answered
+//     from that text before it is decoded, sorted or hashed by id;
 //  2. single-flight coalescing, so N concurrent requests for the same
 //     uncached subgraph trigger one computation and share the result;
 //  3. bounded admission — a semaphore-gated compute tier with a bounded
-//     wait queue and per-request deadlines, answering 429/503 with
-//     Retry-After under overload instead of melting;
+//     wait queue and per-request deadlines, one token per computation,
+//     answering 429/503 with Retry-After under overload instead of
+//     melting;
 //  4. a versioned on-disk score cache loaded at startup, so restarts are
 //     warm (see disk.go for the consistency rules).
 //
 // Endpoints: POST /v1/rank (subgraph → scores; also accepts a batch of
-// subgraphs served through core.RankManyCtx's partial-results contract),
-// POST /v1/search (terms + subgraph → score-fused top-K), and GET
-// /v1/stats (the counters in Stats).
+// subgraphs, a fail-fast fan-out over the same path whose survivors are
+// served beside per-item errors), POST /v1/search (terms + subgraph →
+// score-fused top-K), and GET /v1/stats (the counters in Stats).
 package serve
 
 import (
@@ -59,8 +61,10 @@ type Options struct {
 	Rank core.Config
 	// CacheEntries bounds the LRU of cached subgraph entries. Default 128.
 	CacheEntries int
-	// MaxInFlight bounds concurrently running computations (admission
-	// semaphore). Default core's parallel default (the CPU count).
+	// MaxInFlight bounds concurrently running computations, a batch's
+	// included (admission semaphore, one token per computation); a batch
+	// runs at most this many items at once. Default core's parallel
+	// default (the CPU count).
 	MaxInFlight int
 	// MaxQueue bounds how many admitted requests may WAIT for a compute
 	// token; beyond it requests are rejected with 429. Default
@@ -207,12 +211,14 @@ func cfgKey(cfg core.Config) string {
 		strconv.Itoa(cfg.MaxIterations)
 }
 
-// rankScores answers one subgraph-rank query under the configuration
-// whose cfgKey is key through the full serving path: result cache →
-// in-flight coalescing → admission-gated computation. It returns the
-// converged result and whether the answer came straight from cache; a
-// result hit also returns the entry's stored tail for key, nil until
-// the entry's first hit stores one (keepHit).
+// rankScores answers one subgraph under the configuration whose cfgKey
+// is key. It is the one serving path every request takes, for a single
+// /v1/rank, each item of a batch and /v1/search alike: result cache →
+// in-flight coalescing → admission-gated computation, whose result is
+// stored for the next caller. It returns the converged result and
+// whether the cache answered it; a result hit also returns the entry's
+// stored tail for key, nil until the entry's first /v1/rank hit stores
+// one (keepHit).
 func (s *Server) rankScores(reqCtx context.Context, ids []graph.NodeID, key string, cfg core.Config) (*core.Result, bool, []byte, error) {
 	h := hashIDs(ids)
 	s.mu.Lock()
@@ -259,12 +265,15 @@ func (s *Server) matchFlightLocked(h uint64, ids []graph.NodeID, key string) *fl
 }
 
 // runFlight executes one coalesced computation and publishes its outcome:
-// result and in-flight removal commit atomically under the mutex, then
-// done is closed — so a request can never miss both the flight and the
-// cached result.
+// the result is stored and the flight removed in one hold of the mutex,
+// then done is closed — so a request can never miss both the flight and
+// the cached result.
 func (s *Server) runFlight(fl *flight, h uint64, cfg core.Config) {
-	res, err := s.compute(fl.ids, h, fl.cfgKey, cfg)
+	res, err := s.compute(fl.ids, cfg)
 	s.mu.Lock()
+	if err == nil {
+		s.storeResult(fl.ids, h, fl.cfgKey, res)
+	}
 	fl.res, fl.err = res, err
 	bucket := s.flights[h]
 	for i, b := range bucket {
@@ -281,12 +290,12 @@ func (s *Server) runFlight(fl *flight, h uint64, cfg core.Config) {
 	close(fl.done)
 }
 
-// compute runs one admission-gated power iteration, reusing the cached
-// frozen chain when present and caching chain + result on success. The
-// request budget (cfg.Deadline) covers the queue wait AND the iteration:
-// the context carrying it is derived here, before acquire, and RunCtx
-// inherits whatever remains of it.
-func (s *Server) compute(ids []graph.NodeID, h uint64, key string, cfg core.Config) (*core.Result, error) {
+// compute runs one admission-gated computation: it takes a token, builds
+// the subgraph's chain and iterates it. The request budget (cfg.Deadline)
+// covers the queue wait AND the iteration: the context carrying it is
+// derived here, before acquire, and RunCtx inherits whatever remains of
+// it.
+func (s *Server) compute(ids []graph.NodeID, cfg core.Config) (*core.Result, error) {
 	ctx := s.base
 	if cfg.Deadline > 0 {
 		var cancel context.CancelFunc
@@ -301,14 +310,8 @@ func (s *Server) compute(ids []graph.NodeID, h uint64, key string, cfg core.Conf
 
 	s.mu.Lock()
 	s.stats.InFlight++
+	s.stats.Misses++
 	hook := s.computeHook
-	var chain *core.ExtendedChain
-	if e, ok := s.cache.get(h, ids); ok && e.chain != nil {
-		chain = e.chain
-		s.stats.ChainHits++
-	} else {
-		s.stats.Misses++
-	}
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
@@ -319,37 +322,28 @@ func (s *Server) compute(ids []graph.NodeID, h uint64, key string, cfg core.Conf
 		hook()
 	}
 
-	if chain == nil {
-		// The Subgraph's O(N) index lives only on this miss path: the
-		// chain keeps the id list, not the index.
-		sub, err := graph.NewSubgraph(s.gctx.Graph(), ids)
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		chain, err = core.NewApproxChainCtx(s.gctx, sub)
-		if err != nil {
-			return nil, badRequest(err)
-		}
+	// The Subgraph's O(N) index lives only while the chain is built: the
+	// chain keeps the id list, not the index, and the entry keeps neither.
+	sub, err := graph.NewSubgraph(s.gctx.Graph(), ids)
+	if err != nil {
+		return nil, badRequest(err)
 	}
-
+	chain, err := core.NewApproxChainCtx(s.gctx, sub)
+	if err != nil {
+		return nil, badRequest(err)
+	}
 	s.mu.Lock()
 	s.stats.Computations++
 	s.mu.Unlock()
-	res, err := chain.RunCtx(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.storeResult(ids, h, key, chain, res)
-	return res, nil
+	return chain.RunCtx(ctx, cfg)
 }
 
-// storeResult caches a converged result (and the frozen chain behind it)
-// under the canonical identity, creating or refreshing the LRU entry. A
-// replaced result takes its stored tail, and the raw body registered on
-// that tail, with it.
-func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, chain *core.ExtendedChain, res *core.Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// storeResult caches a converged result under the canonical identity,
+// creating or refreshing the LRU entry. A result already cached for key
+// is kept, with the tail and raw body its hits stored: flights compute
+// each (ids, key) once and the disk load skips present entries, so no
+// path has a better one. The caller holds s.mu.
+func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, res *core.Result) {
 	e, ok := s.cache.get(h, ids)
 	if !ok {
 		e = &entry{
@@ -360,13 +354,8 @@ func (s *Server) storeResult(ids []graph.NodeID, h uint64, key string, chain *co
 		}
 		s.stats.Evictions += int64(s.cache.add(e))
 	}
-	if e.chain == nil {
-		e.chain = chain
-	}
-	e.results[key] = res
-	delete(e.tails, key)
-	if e.rawKey == key {
-		s.cache.dropRaw(e)
+	if _, ok := e.results[key]; !ok {
+		e.results[key] = res
 	}
 }
 
@@ -435,85 +424,6 @@ func (s *Server) searchEngine(ids []graph.NodeID, key string, res *core.Result) 
 	}
 	s.mu.Unlock()
 	return eng, nil
-}
-
-// rankBatch serves a batch of subgraphs through core.RankManyCtx's
-// bounded worker tier under one admission token. Items that fail
-// validation are answered per-item; a mid-batch failure cancels the
-// remainder (the library's fail-fast contract) but the survivors —
-// chains that completed before the poison — are still served and cached,
-// which is exactly what the partial-results slice exists for. It also
-// returns each item's canonical id list, which the item's scores are
-// aligned with (nil where the item failed validation).
-func (s *Server) rankBatch(items [][]uint32, cfg core.Config) ([]*core.Result, [][]graph.NodeID, []error, error) {
-	results := make([]*core.Result, len(items))
-	errs := make([]error, len(items))
-	idLists := make([][]graph.NodeID, len(items))
-	subs := make([]*graph.Subgraph, 0, len(items))
-	backMap := make([]int, 0, len(items))
-	numNodes := s.gctx.Graph().NumNodes()
-	for i, nodes := range items {
-		ids, err := canonicalIDs(nodes, numNodes)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		sub, err := graph.NewSubgraph(s.gctx.Graph(), ids)
-		if err != nil {
-			errs[i] = badRequest(err)
-			continue
-		}
-		idLists[i] = ids
-		subs = append(subs, sub)
-		backMap = append(backMap, i)
-	}
-
-	var batchErr error
-	if len(subs) > 0 {
-		ctx := s.base
-		if cfg.Deadline > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(s.base, cfg.Deadline)
-			defer cancel()
-			cfg.Deadline = 0
-		}
-		if err := s.adm.acquire(ctx); err != nil {
-			return nil, nil, nil, err
-		}
-		defer s.adm.release()
-		// The batch fan-out is RankManyCtx's own (one worker per
-		// subgraph, at most GOMAXPROCS): cfg.Parallelism, rankd's
-		// -parallelism, is each chain's per-iteration worker count.
-		var partial []*core.Result
-		partial, batchErr = core.RankManyCtx(ctx, s.gctx, subs, cfg, 0)
-		key := cfgKey(cfg)
-		for bi, res := range partial {
-			i := backMap[bi]
-			if res == nil {
-				continue
-			}
-			results[i] = res
-			// Batch survivors warm the same cache the single-query path
-			// reads, chains excluded (RankManyCtx owns and discards them).
-			s.storeResult(idLists[i], hashIDs(idLists[i]), key, nil, res)
-		}
-		for bi := range partial {
-			if partial[bi] == nil && errs[backMap[bi]] == nil {
-				errs[backMap[bi]] = batchErr
-			}
-		}
-	}
-
-	s.mu.Lock()
-	for i := range items {
-		if results[i] != nil {
-			s.stats.BatchChainsRun++
-		} else {
-			s.stats.BatchChainsFailed++
-		}
-	}
-	s.mu.Unlock()
-	return results, idLists, errs, nil
 }
 
 // defaultInFlight admits one computation per schedulable CPU: the

@@ -13,12 +13,12 @@ type Stats struct {
 	SearchRequests int64 `json:"search_requests"`
 	BatchRequests  int64 `json:"batch_requests"`
 
-	// ResultHits count requests answered from a cached converged result
-	// (no chain build, no iteration). ChainHits count requests that found
-	// the frozen chain but ran a fresh iteration for a new configuration.
-	// Misses count requests that had to build the chain.
+	// ResultHits count subgraphs answered from a cached converged result
+	// (no chain build, no iteration); Misses count computations that took
+	// an admission token to build a chain and iterate it. Both count
+	// every subgraph a request names: a single /v1/rank, each batch item
+	// and each /v1/search.
 	ResultHits int64 `json:"result_hits"`
-	ChainHits  int64 `json:"chain_hits"`
 	Misses     int64 `json:"misses"`
 
 	// TailHits counts the /v1/rank result hits written from a stored
@@ -37,16 +37,17 @@ type Stats struct {
 	StoredRawBytes int64 `json:"stored_raw_bytes"`
 
 	// Computations counts power iterations actually run by the serving
-	// tier (batch items excluded — see BatchChainsRun). CoalescedWaits
-	// counts requests that piggybacked on an identical in-flight
+	// tier, batch items included. CoalescedWaits counts subgraphs (batch
+	// items included) that piggybacked on an identical in-flight
 	// computation instead of starting their own.
 	Computations   int64 `json:"computations"`
 	CoalescedWaits int64 `json:"coalesced_waits"`
 
 	// InFlight is the number of computations currently holding an
-	// admission token; AdmissionRejected counts immediate 429s (queue
-	// full) and DeadlineFailures counts 503s (compute or queue deadline
-	// exceeded, or the client gone while coalesced).
+	// admission token, a batch's included (each of its computations holds
+	// one); AdmissionRejected counts immediate 429s (queue full) and
+	// DeadlineFailures counts 503s (compute or queue deadline exceeded,
+	// or the client gone while coalesced), a refused batch once.
 	InFlight          int64 `json:"in_flight"`
 	AdmissionRejected int64 `json:"admission_rejected"`
 	DeadlineFailures  int64 `json:"deadline_failures"`
@@ -64,10 +65,10 @@ type Stats struct {
 	DiskEntriesRejected int64 `json:"disk_entries_rejected"`
 	EnginesBuilt        int64 `json:"engines_built"`
 
-	// BatchChainsRun counts chains completed inside batch requests;
-	// BatchChainsFailed counts batch items answered with a per-item error
-	// (the survivors of a poisoned batch are still served — the
-	// RankManyCtx partial-results contract).
+	// BatchChainsRun counts batch items answered with a result, from any
+	// tier; BatchChainsFailed counts batch items answered with a per-item
+	// error (the survivors of a poisoned batch are still served — the
+	// partial-results contract). A refused batch counts in neither.
 	BatchChainsRun    int64 `json:"batch_chains_run"`
 	BatchChainsFailed int64 `json:"batch_chains_failed"`
 }
